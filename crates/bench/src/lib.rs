@@ -13,9 +13,14 @@
 //! | `fig9`   | CPU / I/O utilization timeline under speculation    |
 //! | `table1` | SAM/BAM genomic workload                            |
 //! | `ablation` | design-choice ablations (safeguard, bias, seek)   |
+//! | `trace`  | seeded traced workload → Chrome trace + folded stacks (`cargo xtask trace`) |
 //!
 //! Results print as aligned text tables (the same rows/series the paper
 //! reports) and are also written as JSON under `results/`.
+//!
+//! These binaries reproduce the paper; they are not the performance
+//! yardstick. The repository's one benchmark is `perfbench/` (described by
+//! `BENCHMARK.json`, run with `cargo xtask bench`).
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

@@ -55,7 +55,7 @@ pub mod stream;
 
 pub use cache::{CacheCounters, ChunkCache};
 pub use operator::{
-    ConvertScope, PushdownFilter, ResourceAdvice, ScanRaw, ScanRequest, ScanSummary,
+    ChunkSource, ConvertScope, PushdownFilter, ResourceAdvice, ScanRaw, ScanRequest, ScanSummary,
 };
 pub use profile::{Profiler, Stage};
 pub use registry::OperatorRegistry;

@@ -22,7 +22,7 @@ use scanraw_obs::{Histogram, Obs, ObsEvent};
 use scanraw_rawfile::chunker::{read_chunk_at, ChunkReader};
 use scanraw_rawfile::parse::{parse_chunk_filtered, RowFilter};
 use scanraw_rawfile::{parse_chunk_projected, tokenize_chunk_selective, TextDialect};
-use scanraw_storage::Database;
+use scanraw_storage::{Database, TableEntry};
 use scanraw_types::{
     BinaryChunk, ChunkId, ChunkMeta, Error, PositionalMap, RangePredicate, Result, ScanRawConfig,
     Schema, TextChunk, Value, WritePolicy,
@@ -705,6 +705,21 @@ impl ScanRaw {
     // Planning
     // ----------------------------------------------------------------------
 
+    /// Where a scan needing columns `needed` fetches chunk `id` from, given
+    /// the current cache and catalog state: the cache → db → hybrid → raw
+    /// cascade. The one classifier behind both the scan plan and EXPLAIN.
+    pub fn chunk_source(&self, entry: &TableEntry, id: ChunkId, needed: &[usize]) -> ChunkSource {
+        if self.cache.covers(id, needed) {
+            ChunkSource::Cache
+        } else if entry.is_loaded(id, needed) {
+            ChunkSource::Db
+        } else if self.config.hybrid_reads && !entry.loaded_columns(id, needed).is_empty() {
+            ChunkSource::Hybrid
+        } else {
+            ChunkSource::Raw
+        }
+    }
+
     fn plan_scan(&self, needed: &[usize], skip: Option<&RangePredicate>) -> Result<ScanPlan> {
         if !self.layout_known() {
             // First scan: stream the whole file sequentially.
@@ -745,15 +760,11 @@ impl ScanRaw {
                     }
                 }
             }
-            if self.cache.covers(meta.id, needed) {
-                cached.push(*meta);
-            } else if entry.is_loaded(meta.id, needed) {
-                from_db.push(*meta);
-            } else if self.config.hybrid_reads && !entry.loaded_columns(meta.id, needed).is_empty()
-            {
-                hybrid.push(*meta);
-            } else {
-                raw.push(*meta);
+            match self.chunk_source(&entry, meta.id, needed) {
+                ChunkSource::Cache => cached.push(*meta),
+                ChunkSource::Db => from_db.push(*meta),
+                ChunkSource::Hybrid => hybrid.push(*meta),
+                ChunkSource::Raw => raw.push(*meta),
             }
         }
         Ok(ScanPlan {
@@ -1553,6 +1564,19 @@ impl ScanRaw {
         }
         in_pipeline.fetch_sub(1, Ordering::AcqRel);
     }
+}
+
+/// Where a scan fetches one chunk from (see [`ScanRaw::chunk_source`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ChunkSource {
+    /// Resident in the binary chunks cache with every needed column.
+    Cache,
+    /// Every needed column loaded in the database.
+    Db,
+    /// Some needed columns loaded: database read merged with a raw re-parse.
+    Hybrid,
+    /// Converted from the raw file.
+    Raw,
 }
 
 /// Chunk-source plan for one scan.

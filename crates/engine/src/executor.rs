@@ -7,10 +7,13 @@ use crate::predicate::Predicate;
 use crate::query::{Query, QueryResult, ResultRow};
 use parking_lot::Mutex;
 use scanraw::{
-    ChunkStream, ConvertScope, ExecTask, OperatorRegistry, ScanRaw, ScanRequest, ScanSummary, Stage,
+    ChunkSource, ChunkStream, ConvertScope, ExecTask, OperatorRegistry, PushdownFilter, ScanRaw,
+    ScanRequest, ScanSummary, Stage,
 };
-use scanraw_obs::trace::worker_label;
-use scanraw_obs::{json, HistogramSnapshot, JournalEntry, ObsEvent, QueryTrace, TraceId};
+use scanraw_obs::trace::{worker_label, SpanGuard};
+use scanraw_obs::{
+    json, HistogramSnapshot, JournalEntry, Obs, ObsEvent, QueryTrace, SpanId, TraceId,
+};
 use scanraw_rawfile::TextDialect;
 use scanraw_storage::{Database, RecoveryReport};
 use scanraw_types::{BinaryChunk, Error, RangePredicate, Result, ScanRawConfig, Schema, Value};
@@ -39,20 +42,146 @@ pub struct QueryOutcome {
     pub scan: ScanSummary,
 }
 
-/// Outcomes of a shared-scan batch plus the traces it minted: the carrier
-/// trace (shared scan, exec tasks, merge) and one trace per query whose root
-/// `query` span covers pipeline attach → that query's fold completing. The
-/// trace fields are `None` when tracing is disabled on the operator's
-/// recorder.
+/// One execution request: a single query or a shared-scan batch, plus how to
+/// run it — per-request exec-mode override, tracing, widened projection.
+/// Build one and hand it to [`Engine::run`] (or [`crate::Session::run`]).
+///
+/// ```ignore
+/// let out = session.run(
+///     ExecRequest::query(q).traced().mode(ExecMode::Serial),
+/// )?;
+/// ```
 #[derive(Debug, Clone)]
-pub struct SharedOutcome {
+pub struct ExecRequest {
+    queries: Vec<Query>,
+    /// True when the scan gets its own `query.batch` carrier root and every
+    /// query a root-only `query` trace; false when the lone query's `query`
+    /// root carries the scan itself.
+    shared: bool,
+    traced: bool,
+    mode: Option<ExecMode>,
+    /// Serving-layer attribution tagged onto the `query` roots: the
+    /// submitting tenant of each query (parallel to `queries`) and the
+    /// serve batch id.
+    served: Option<(Vec<u64>, u64)>,
+}
+
+impl ExecRequest {
+    /// A request running one query on its own scan.
+    pub fn query(q: Query) -> Self {
+        ExecRequest {
+            queries: vec![q],
+            shared: false,
+            traced: false,
+            mode: None,
+            served: None,
+        }
+    }
+
+    /// A request answering a batch of queries over the *same* table with a
+    /// single shared scan — the paper's §7 future work ("extending ScanRaw
+    /// with support for multi-query processing over raw files"). The raw
+    /// file is read and converted once; every query folds its own filter and
+    /// aggregates over the shared chunk stream.
+    ///
+    /// Restrictions: all queries must target one table; push-down selection
+    /// cannot be shared; chunk skipping is applied only when every query
+    /// shares the same extractable range (the scan must deliver a superset
+    /// of what each query needs).
+    pub fn batch(queries: impl IntoIterator<Item = Query>) -> Self {
+        ExecRequest {
+            queries: queries.into_iter().collect(),
+            shared: true,
+            traced: false,
+            mode: None,
+            served: None,
+        }
+    }
+
+    /// A dispatch unit of the serving layer: `(tenant, query)` pairs run as
+    /// one scan under serve batch id `batch`. A lone query keeps the
+    /// single-query trace shape.
+    pub(crate) fn served(items: impl IntoIterator<Item = (u64, Query)>, batch: u64) -> Self {
+        let (tenants, queries): (Vec<u64>, Vec<Query>) = items.into_iter().unzip();
+        ExecRequest {
+            shared: queries.len() > 1,
+            queries,
+            traced: false,
+            mode: None,
+            served: Some((tenants, batch)),
+        }
+    }
+
+    /// Collect the causal span tree(s) the request mints. [`Engine::run`]
+    /// then fails when tracing is disabled on the table's recorder.
+    pub fn traced(mut self) -> Self {
+        self.traced = true;
+        self
+    }
+
+    /// Override the chunk-fold strategy for this request only; the engine
+    /// default applies otherwise.
+    pub fn mode(mut self, mode: ExecMode) -> Self {
+        self.mode = Some(mode);
+        self
+    }
+
+    /// Set an explicit projection on every query in the request (see
+    /// [`Query::select`]): the scan materializes these columns in addition
+    /// to the referenced ones, pre-heating them for speculative loading.
+    pub fn select(mut self, cols: impl IntoIterator<Item = impl Into<Col>>) -> Self {
+        let cols: Vec<Col> = cols.into_iter().map(Into::into).collect();
+        for q in &mut self.queries {
+            q.projection = Some(cols.clone());
+        }
+        self
+    }
+}
+
+/// What [`Engine::run`] produced: one [`QueryOutcome`] per query in the
+/// request, with span trees alongside when the request was
+/// [`ExecRequest::traced`].
+#[derive(Debug, Clone)]
+pub struct ExecOutcome {
+    /// One outcome per query, in request order.
     pub outcomes: Vec<QueryOutcome>,
-    /// Trace carrying the shared scan's spans (root span `query.batch`).
-    pub batch_trace: Option<TraceId>,
-    /// Per-query traces, parallel to `outcomes`; each holds one root span
-    /// named `query`, tagged with the table, `mode=shared`, and a `batch`
-    /// tag naming `batch_trace`.
-    pub query_traces: Vec<Option<TraceId>>,
+    /// Per-query span trees, parallel to `outcomes`; `None` entries unless
+    /// the request was traced. A batched query's tree is its root-only
+    /// `query` span, tagged `mode=shared` and `batch=<carrier trace id>`.
+    pub query_traces: Vec<Option<QueryTrace>>,
+    /// The carrier trace of a traced shared batch (root `query.batch`, with
+    /// the scan/exec/merge spans); `None` for single queries and untraced
+    /// batches.
+    pub batch_trace: Option<QueryTrace>,
+}
+
+impl ExecOutcome {
+    /// The only outcome of a single-query request.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called on the outcome of a multi-query batch.
+    pub fn into_single(mut self) -> QueryOutcome {
+        assert_eq!(
+            self.outcomes.len(),
+            1,
+            "into_single on a {}-query outcome",
+            self.outcomes.len()
+        );
+        self.outcomes.pop().expect("one outcome")
+    }
+
+    /// The outcome and span tree of a traced single-query request.
+    pub fn into_traced_single(mut self) -> (QueryOutcome, QueryTrace) {
+        assert_eq!(self.outcomes.len(), 1, "into_traced_single on a batch");
+        let outcome = self.outcomes.pop().expect("one outcome");
+        let trace = self
+            .query_traces
+            .pop()
+            .flatten()
+            .expect("request was not traced");
+        (outcome, trace)
+    }
 }
 
 /// Plan report for a query: what the scan would do and what the optimizer
@@ -193,8 +322,6 @@ pub struct Engine {
     convert_scope: Mutex<ConvertScope>,
     /// Chunk fold strategy; [`ExecMode::Parallel`] by default.
     exec_mode: Mutex<ExecMode>,
-    /// Table and trace id of the most recently completed traced query.
-    last_trace: Mutex<Option<(String, TraceId)>>,
 }
 
 impl Engine {
@@ -206,7 +333,6 @@ impl Engine {
             tables: Mutex::new(HashMap::new()),
             convert_scope: Mutex::new(ConvertScope::AllColumns),
             exec_mode: Mutex::new(ExecMode::default()),
-            last_trace: Mutex::new(None),
         }
     }
 
@@ -230,54 +356,6 @@ impl Engine {
     /// Changes the convert scope for scans that start from now on.
     pub fn set_convert_scope(&self, scope: ConvertScope) {
         *self.convert_scope.lock() = scope;
-    }
-
-    /// Mints a per-query trace and opens its root span, or `None` when
-    /// tracing is disabled on the operator's span recorder. The guard pins
-    /// the root span as the calling thread's current context. `extra` tags
-    /// (tenant id, batch size) are appended after the standard table/mode
-    /// pair.
-    fn begin_trace(
-        &self,
-        op: &Arc<ScanRaw>,
-        table: &str,
-        name: &'static str,
-        mode: &'static str,
-        extra: Vec<(&'static str, String)>,
-    ) -> Option<scanraw_obs::trace::SpanGuard> {
-        if !op.obs().trace.enabled() {
-            return None;
-        }
-        let trace = op.obs().trace.next_trace();
-        op.obs().event(ObsEvent::TraceStarted {
-            trace: trace.0,
-            table: table.to_string(),
-        });
-        let mut tags = vec![("table", table.to_string()), ("mode", mode.to_string())];
-        tags.extend(extra);
-        Some(op.obs().trace.enter_root(trace, name, tags))
-    }
-
-    /// Closes a query's root span, journals the completion, and remembers the
-    /// trace for [`Engine::take_last_trace`].
-    fn end_trace(&self, op: &Arc<ScanRaw>, table: &str, guard: scanraw_obs::trace::SpanGuard) {
-        let ctx = guard.ctx();
-        drop(guard);
-        op.obs().event(ObsEvent::TraceCompleted {
-            trace: ctx.trace.0,
-            spans: op.obs().trace.span_count(ctx.trace),
-        });
-        *self.last_trace.lock() = Some((table.to_string(), ctx.trace));
-    }
-
-    /// The span tree of the most recently completed traced query, extracted
-    /// from the owning operator's recorder. Late write-back spans may still
-    /// be open; call the operator's `drain_writes` first for a closed tree
-    /// (the [`crate::Session`] wrapper does).
-    pub fn last_query_trace(&self) -> Option<QueryTrace> {
-        let (table, trace) = self.last_trace.lock().clone()?;
-        let op = self.operator(&table).ok()?;
-        Some(op.obs().trace.trace(trace))
     }
 
     pub fn database(&self) -> &Database {
@@ -375,23 +453,13 @@ impl Engine {
             ),
             None => (1.0, entry.layout().map(|l| l.total_rows())),
         };
-        let mut from_cache = 0;
-        let mut from_db = 0;
-        let mut from_hybrid = 0;
-        let mut from_raw = 0;
-        if let Some(layout) = entry.layout() {
-            for meta in layout.iter() {
-                if op.cache().covers(meta.id, &projection) {
-                    from_cache += 1;
-                } else if entry.is_loaded(meta.id, &projection) {
-                    from_db += 1;
-                } else if op.config().hybrid_reads
-                    && !entry.loaded_columns(meta.id, &projection).is_empty()
-                {
-                    from_hybrid += 1;
-                } else {
-                    from_raw += 1;
-                }
+        let (mut from_cache, mut from_db, mut from_hybrid, mut from_raw) = (0, 0, 0, 0);
+        for meta in entry.layout().into_iter().flat_map(|l| l.iter()) {
+            match op.chunk_source(&entry, meta.id, &projection) {
+                ChunkSource::Cache => from_cache += 1,
+                ChunkSource::Db => from_db += 1,
+                ChunkSource::Hybrid => from_hybrid += 1,
+                ChunkSource::Raw => from_raw += 1,
             }
         }
         Ok(ExplainReport {
@@ -407,197 +475,146 @@ impl Engine {
         })
     }
 
-    /// Runs a batch of queries over the *same* table with a single shared
-    /// scan — the paper's §7 future work ("extending ScanRaw with support
-    /// for multi-query processing over raw files"). The raw file is read and
-    /// converted once; every query folds its own filter and aggregates over
-    /// the shared chunk stream.
+    /// Runs an [`ExecRequest`] — the engine's one execution path. A batch is
+    /// answered from a single shared scan; a single query is a batch of one
+    /// that may push its selection down and whose `query` root span carries
+    /// the scan itself.
     ///
-    /// Restrictions: all queries must target one table; chunk skipping is
-    /// applied only when every query shares the same extractable range (the
-    /// scan must deliver a superset of what each query needs).
-    pub fn execute_shared(&self, queries: &[Query]) -> Result<Vec<QueryOutcome>> {
-        Ok(self
-            .execute_shared_inner(queries, None, None, None)?
-            .outcomes)
-    }
-
-    /// [`Engine::execute_shared`], additionally returning the traces the
-    /// batch minted: the carrier trace holding the shared scan/exec/merge
-    /// spans, and one trace per query whose root `query` span covers that
-    /// query from pipeline attach to its fold completing. All `None` when
-    /// tracing is disabled on the operator's recorder.
-    pub fn execute_shared_traced(&self, queries: &[Query]) -> Result<SharedOutcome> {
-        self.execute_shared_inner(queries, None, None, None)
-    }
-
-    /// Shared execution on behalf of the serving layer: per-query root spans
-    /// are tagged with the submitting tenant ids and the serving batch
-    /// label. `tenants` must be parallel to `queries`.
-    pub(crate) fn execute_shared_for_tenants(
-        &self,
-        queries: &[Query],
-        tenants: &[u64],
-        batch: u64,
-    ) -> Result<SharedOutcome> {
-        debug_assert_eq!(queries.len(), tenants.len());
-        self.execute_shared_inner(queries, Some(tenants), Some(batch), None)
-    }
-
-    pub(crate) fn execute_shared_inner(
-        &self,
-        queries: &[Query],
-        tenants: Option<&[u64]>,
-        batch_label: Option<u64>,
-        mode_override: Option<ExecMode>,
-    ) -> Result<SharedOutcome> {
+    /// Under [`ExecMode::Parallel`] (the default) delivered chunks are
+    /// evaluated on the operator's worker pool with a columnar inner loop
+    /// and the partial aggregates merged in ascending chunk order, so
+    /// results are identical to — and bit-for-bit as deterministic as — the
+    /// serial fold.
+    ///
+    /// # Errors
+    ///
+    /// Fails when the request holds no query or spans several tables, when
+    /// a batch asks for push-down, when any query fails validation or
+    /// execution, or when the request is [`ExecRequest::traced`] but tracing
+    /// is disabled on the table's span recorder
+    /// (`op.obs().trace.set_enabled(false)`). Every trace root opened is
+    /// closed and journaled on every exit.
+    pub fn run(&self, req: ExecRequest) -> Result<ExecOutcome> {
+        let ExecRequest {
+            queries,
+            shared,
+            traced,
+            mode,
+            served,
+        } = req;
         let first = queries
             .first()
-            .ok_or_else(|| Error::query("shared execution needs at least one query"))?;
+            .ok_or_else(|| Error::query("ExecRequest holds no query"))?;
         if queries.iter().any(|q| q.table != first.table) {
             return Err(Error::query("shared execution requires a single table"));
         }
-        if queries.iter().any(|q| q.pushdown) {
+        if shared && queries.iter().any(|q| q.pushdown) {
             return Err(Error::query(
                 "push-down selection cannot be shared across queries",
             ));
         }
         let op = self.operator(&first.table)?;
-        for q in queries {
+        for q in &queries {
             q.validate(op.schema().len())?;
         }
         let clock = self.db.disk().clock().clone();
-        let mode = mode_override.unwrap_or_else(|| self.exec_mode());
+        let mode = mode.unwrap_or_else(|| self.exec_mode());
+        let started = clock.now();
 
-        // Union of all projections.
+        // Plan: the union of all projections, and a skip range only when
+        // every query would skip the same chunks.
         let mut projection: Vec<usize> = queries
             .iter()
             .flat_map(|q| q.effective_projection())
             .collect();
         projection.sort_unstable();
         projection.dedup();
+        let range_of = |q: &Query| q.filter.as_ref().and_then(|f| f.extract_range());
+        let range =
+            range_of(first).filter(|r| queries.iter().all(|q| range_of(q).as_ref() == Some(r)));
+        let pushdown = first
+            .filter
+            .as_ref()
+            .filter(|_| first.pushdown)
+            .map(pushdown_filter);
 
-        // A skip predicate is only safe when every query would skip the
-        // same chunks.
-        let ranges: Vec<_> = queries
-            .iter()
-            .map(|q| q.filter.as_ref().and_then(|f| f.extract_range()))
-            .collect();
-        let skip_predicate = match ranges.split_first() {
-            Some((head, tail)) if tail.iter().all(|r| r == head) => head.clone(),
-            _ => None,
+        let mode_tag = match (shared, mode) {
+            (true, _) => "shared",
+            (false, ExecMode::Serial) => "serial",
+            (false, ExecMode::Parallel) => "parallel",
         };
-        let range = skip_predicate.clone();
-
-        // The carrier trace: the shared scan, exec tasks, and merge hang off
-        // this root, which represents the batch rather than any one caller.
-        let trace_guard = self.begin_trace(
+        let mut roots = TraceRoots::open(
             &op,
             &first.table,
-            "query.batch",
-            "shared",
-            vec![("queries", queries.len().to_string())],
+            shared,
+            mode_tag,
+            queries.len(),
+            served.as_ref(),
         );
-        let batch_trace = trace_guard.as_ref().map(|g| g.ctx().trace);
-        // One `query` root span per batched query, each in its own trace, so
-        // per-caller (and per-tenant) traces stay causal under batching: the
-        // `batch` tag links each root to the carrier trace doing the work.
-        let recorder = op.obs().trace.clone();
-        let query_roots: Vec<Option<(TraceId, scanraw_obs::SpanId)>> = queries
-            .iter()
-            .enumerate()
-            .map(|(i, _)| {
-                batch_trace?;
-                let trace = recorder.next_trace();
-                op.obs().event(ObsEvent::TraceStarted {
-                    trace: trace.0,
-                    table: first.table.clone(),
-                });
-                let mut tags = vec![
-                    ("table", first.table.clone()),
-                    ("mode", "shared".to_string()),
-                ];
-                if let Some(bt) = batch_trace {
-                    tags.push(("batch", bt.0.to_string()));
-                }
-                if let Some(label) = batch_label {
-                    tags.push(("serve.batch", label.to_string()));
-                }
-                if let Some(ts) = tenants {
-                    tags.push(("tenant", ts[i].to_string()));
-                }
-                Some((trace, recorder.begin(trace, None, "query", tags)))
+        let trace_ids = traced
+            .then(|| {
+                roots
+                    .trace_ids()
+                    .ok_or_else(|| Error::query("tracing is disabled on this table's recorder"))
             })
-            .collect();
-        // Closes query i's root span and journals its trace completion.
-        let finish_root = |i: usize| {
-            if let Some((trace, span)) = query_roots[i] {
-                recorder.end(span);
-                op.obs().event(ObsEvent::TraceCompleted {
-                    trace: trace.0,
-                    spans: recorder.span_count(trace),
-                });
-            }
-        };
+            .transpose()?;
 
-        let request = ScanRequest {
+        let mut stream = op.scan(ScanRequest {
             projection,
             convert: self.convert_scope(),
-            skip_predicate,
+            skip_predicate: range.clone(),
             cols_mapped: None,
-            pushdown: None,
-            trace: trace_guard.as_ref().map(|g| g.ctx()),
-        };
-        let mut stream = op.scan(request)?;
-        // Per-query durations run from pipeline attach (the consumers join
-        // the shared stream here) to each query's own fold completing — not
-        // from the engine-side planning that preceded the scan.
-        let attached = clock.now();
-        let outcomes: Vec<(Vec<ResultRow>, u64, Duration)> = match mode {
+            pushdown,
+            trace: roots.carrier.as_ref().map(|g| g.ctx()),
+        })?;
+        let folded: Vec<(u64, Result<Vec<ResultRow>>)> = match mode {
             ExecMode::Serial => {
                 let mut aggs: Vec<GroupedAggregator<'_>> = queries
                     .iter()
                     .map(|q| GroupedAggregator::new(&q.group_by, &q.aggregates))
                     .collect();
                 while let Some(chunk) = stream.next_chunk() {
-                    for (agg, q) in aggs.iter_mut().zip(queries) {
+                    for (agg, q) in aggs.iter_mut().zip(&queries) {
                         agg.consume(&chunk, q.filter.as_ref())?;
                     }
                 }
                 aggs.into_iter()
-                    .enumerate()
-                    .map(|(i, agg)| {
-                        let rows_scanned = agg.rows_seen();
-                        let rows = agg.finish()?;
-                        finish_root(i);
-                        Ok((rows, rows_scanned, clock.now().saturating_sub(attached)))
-                    })
-                    .collect::<Result<_>>()?
+                    .map(|agg| (agg.rows_seen(), agg.finish()))
+                    .collect()
             }
             ExecMode::Parallel => {
                 let specs: Vec<Arc<AggSpec>> = queries.iter().map(spec_of).collect();
-                let states =
-                    self.run_parallel(&op, &mut stream, &specs, range.as_ref(), &first.table)?;
-                states
+                self.run_parallel(&op, &mut stream, &specs, range.as_ref())?
                     .into_iter()
-                    .enumerate()
-                    .map(|(i, state)| {
-                        let rows_scanned = state.rows_seen;
-                        let rows = state.finish()?;
-                        finish_root(i);
-                        Ok((rows, rows_scanned, clock.now().saturating_sub(attached)))
-                    })
-                    .collect::<Result<_>>()?
+                    .map(|state| (state.rows_seen, state.finish()))
+                    .collect()
             }
         };
-        let scan = stream.finish()?;
-        if let Some(guard) = trace_guard {
-            self.end_trace(&op, &first.table, guard);
+        let mut results = Vec::with_capacity(folded.len());
+        for (i, (rows_scanned, rows)) in folded.into_iter().enumerate() {
+            results.push((rows?, rows_scanned));
+            roots.finish_query(i);
         }
-        Ok(SharedOutcome {
-            outcomes: outcomes
+        let scan = stream.finish()?;
+        drop(roots);
+        let elapsed = clock.now().saturating_sub(started);
+
+        let (query_traces, batch_trace) = match trace_ids {
+            Some((query_ids, batch_id)) => {
+                // Pending write-backs would leave open spans in the trees.
+                op.drain_writes();
+                let tree = |id: TraceId| op.obs().trace.trace(id);
+                (
+                    query_ids.into_iter().map(|id| Some(tree(id))).collect(),
+                    batch_id.map(tree),
+                )
+            }
+            None => (vec![None; results.len()], None),
+        };
+        Ok(ExecOutcome {
+            outcomes: results
                 .into_iter()
-                .map(|(rows, rows_scanned, elapsed)| QueryOutcome {
+                .map(|(rows, rows_scanned)| QueryOutcome {
                     result: QueryResult {
                         rows,
                         rows_scanned,
@@ -606,9 +623,22 @@ impl Engine {
                     scan: scan.clone(),
                 })
                 .collect(),
+            query_traces,
             batch_trace,
-            query_traces: query_roots.iter().map(|r| r.map(|(t, _)| t)).collect(),
         })
+    }
+
+    /// Runs one aggregate query: [`Engine::run`] over [`ExecRequest::query`].
+    pub fn execute(&self, query: &Query) -> Result<QueryOutcome> {
+        self.run(ExecRequest::query(query.clone()))
+            .map(ExecOutcome::into_single)
+    }
+
+    /// Answers a batch of same-table queries with one shared scan:
+    /// [`Engine::run`] over [`ExecRequest::batch`].
+    pub fn execute_shared(&self, queries: &[Query]) -> Result<Vec<QueryOutcome>> {
+        self.run(ExecRequest::batch(queries.to_vec()))
+            .map(|out| out.outcomes)
     }
 
     /// `EXPLAIN ANALYZE`: runs the query and reports the plan alongside the
@@ -731,124 +761,6 @@ impl Engine {
         })
     }
 
-    /// Runs an aggregate query.
-    ///
-    /// Under [`ExecMode::Parallel`] (the default) delivered chunks are
-    /// evaluated on the operator's worker pool with a columnar inner loop
-    /// and the partial aggregates merged in ascending chunk order, so
-    /// results are identical to — and bit-for-bit as deterministic as — the
-    /// serial fold.
-    pub fn execute(&self, query: &Query) -> Result<QueryOutcome> {
-        Ok(self.execute_inner(query, None, None)?.0)
-    }
-
-    /// [`Engine::execute`] on behalf of the serving layer: the query's root
-    /// span carries a `tenant` tag so single-query dispatches stay
-    /// attributable alongside batched ones.
-    pub(crate) fn execute_for_tenant(
-        &self,
-        query: &Query,
-        tenant: Option<u64>,
-    ) -> Result<QueryOutcome> {
-        Ok(self.execute_inner(query, tenant, None)?.0)
-    }
-
-    /// Core single-query path. Returns the outcome together with the trace
-    /// this query minted (`None` when tracing is disabled), so concurrent
-    /// callers can fetch *their own* span tree instead of racing on the
-    /// engine-wide "last trace" slot.
-    pub(crate) fn execute_inner(
-        &self,
-        query: &Query,
-        tenant: Option<u64>,
-        mode_override: Option<ExecMode>,
-    ) -> Result<(QueryOutcome, Option<TraceId>)> {
-        let op = self.operator(&query.table)?;
-        query.validate(op.schema().len())?;
-        let clock = self.db.disk().clock().clone();
-        let mode = mode_override.unwrap_or_else(|| self.exec_mode());
-        let started = clock.now();
-        let trace_guard = self.begin_trace(
-            &op,
-            &query.table,
-            "query",
-            match mode {
-                ExecMode::Serial => "serial",
-                ExecMode::Parallel => "parallel",
-            },
-            tenant
-                .map(|t| ("tenant", t.to_string()))
-                .into_iter()
-                .collect(),
-        );
-
-        let mut request = ScanRequest {
-            projection: query.effective_projection(),
-            convert: self.convert_scope(),
-            skip_predicate: None,
-            cols_mapped: None,
-            pushdown: None,
-            trace: trace_guard.as_ref().map(|g| g.ctx()),
-        };
-        if let Some(f) = &query.filter {
-            request.skip_predicate = f.extract_range();
-            if query.pushdown {
-                let cols = f.columns();
-                let pred = f.clone();
-                let cols2 = cols.clone();
-                request.pushdown = Some(Arc::new(scanraw::operator::PushdownFilter {
-                    columns: cols,
-                    predicate: Arc::new(move |values: &[Value]| {
-                        // An eval error must not drop the row down here: keep
-                        // it, so the exact post-scan filter re-evaluates and
-                        // surfaces the error instead of silently diverging
-                        // from the non-pushdown plan.
-                        // lint-ok: L017 Err keeps the row; the post-scan filter surfaces it
-                        pred.eval_values(&cols2, values).unwrap_or(true)
-                    }),
-                }));
-            }
-        }
-        let range = request.skip_predicate.clone();
-
-        let mut stream = op.scan(request)?;
-        let (rows, rows_scanned) = match mode {
-            ExecMode::Serial => {
-                let mut agg = GroupedAggregator::new(&query.group_by, &query.aggregates);
-                while let Some(chunk) = stream.next_chunk() {
-                    agg.consume(&chunk, query.filter.as_ref())?;
-                }
-                let rows_scanned = agg.rows_seen();
-                (agg.finish()?, rows_scanned)
-            }
-            ExecMode::Parallel => {
-                let specs = vec![spec_of(query)];
-                let mut states =
-                    self.run_parallel(&op, &mut stream, &specs, range.as_ref(), &query.table)?;
-                let state = states.pop().expect("one state per spec");
-                let rows_scanned = state.rows_seen;
-                (state.finish()?, rows_scanned)
-            }
-        };
-        let scan = stream.finish()?;
-        let trace_id = trace_guard.as_ref().map(|g| g.ctx().trace);
-        if let Some(guard) = trace_guard {
-            self.end_trace(&op, &query.table, guard);
-        }
-        let elapsed = clock.now().saturating_sub(started);
-        Ok((
-            QueryOutcome {
-                result: QueryResult {
-                    rows,
-                    rows_scanned,
-                    elapsed,
-                },
-                scan,
-            },
-            trace_id,
-        ))
-    }
-
     /// Fans the delivered chunks of `stream` out to the operator's worker
     /// pool — one [`ExecTask`] per chunk, each producing one partial
     /// [`AggState`] per spec — then collects and merges the partials in
@@ -866,7 +778,6 @@ impl Engine {
         stream: &mut ChunkStream,
         specs: &[Arc<AggSpec>],
         range: Option<&RangePredicate>,
-        table: &str,
     ) -> Result<Vec<AggState>> {
         let handle = stream.exec_handle();
         // When the query is traced the root span is the engine thread's
@@ -876,12 +787,10 @@ impl Engine {
         let recorder = op.obs().trace.clone();
         let parallel_ctr = op.obs().metrics.counter("scanraw.exec.parallel_chunks");
         let skipped_ctr = op.obs().metrics.counter("scanraw.exec.skipped_chunks");
-        let skip_enabled = {
-            let tables = self.tables.lock();
-            tables.get(table).is_some_and(|d| d.config.chunk_skipping)
-        };
         let entry = match range {
-            Some(_) if skip_enabled => Some(op.database().catalog().table(table)?),
+            Some(_) if op.config().chunk_skipping => {
+                Some(op.database().catalog().table(op.table())?)
+            }
             _ => None,
         };
 
@@ -964,6 +873,138 @@ fn spec_of(q: &Query) -> Arc<AggSpec> {
         aggregates: q.aggregates.clone(),
         filter: q.filter.clone(),
     })
+}
+
+/// The push-down selection of a single-query scan: predicate columns are
+/// parsed first, the rest only for rows the filter keeps.
+fn pushdown_filter(filter: &Predicate) -> Arc<PushdownFilter> {
+    let columns = filter.columns();
+    let (pred, cols) = (filter.clone(), columns.clone());
+    Arc::new(PushdownFilter {
+        columns,
+        predicate: Arc::new(move |values: &[Value]| {
+            // An eval error must not drop the row down here: keep it, so the
+            // exact post-scan filter re-evaluates and surfaces the error
+            // instead of silently diverging from the non-pushdown plan.
+            // lint-ok: L017 Err keeps the row; the post-scan filter surfaces it
+            pred.eval_values(&cols, values).unwrap_or(true)
+        }),
+    })
+}
+
+/// The trace roots one [`Engine::run`] opened. Dropping closes whatever is
+/// still open and journals a `TraceCompleted` per `TraceStarted`, so the
+/// recorder's open table and the journal stay balanced on error exits too.
+struct TraceRoots<'a> {
+    obs: &'a Obs,
+    /// The root the scan, exec and merge spans hang off, pinned as the
+    /// calling thread's current context: `query.batch` for a shared batch,
+    /// the lone query's own `query` root otherwise. `None` when tracing is
+    /// disabled on the recorder.
+    carrier: Option<SpanGuard>,
+    /// One root-only `query` span per query of a shared batch, each in its
+    /// own trace so per-caller (and per-tenant) traces stay causal under
+    /// batching; the `batch` tag links it to the carrier trace doing the
+    /// work. Taken as each query's fold completes.
+    queries: Vec<Option<(TraceId, SpanId)>>,
+}
+
+impl<'a> TraceRoots<'a> {
+    fn open(
+        op: &'a ScanRaw,
+        table: &str,
+        shared: bool,
+        mode: &'static str,
+        n_queries: usize,
+        served: Option<&(Vec<u64>, u64)>,
+    ) -> Self {
+        let mut roots = TraceRoots {
+            obs: op.obs(),
+            carrier: None,
+            queries: Vec::new(),
+        };
+        if !roots.obs.trace.enabled() {
+            return roots;
+        }
+        let start = |extra: Vec<(&'static str, String)>| {
+            let trace = roots.obs.trace.next_trace();
+            roots.obs.event(ObsEvent::TraceStarted {
+                trace: trace.0,
+                table: table.to_string(),
+            });
+            let mut tags = vec![("table", table.to_string()), ("mode", mode.to_string())];
+            tags.extend(extra);
+            (trace, tags)
+        };
+        let serve_tags = |i: usize| {
+            served.into_iter().flat_map(move |(tenants, batch)| {
+                [
+                    ("serve.batch", batch.to_string()),
+                    ("tenant", tenants[i].to_string()),
+                ]
+            })
+        };
+        let carrier_tags = if shared {
+            vec![("queries", n_queries.to_string())]
+        } else {
+            serve_tags(0).collect()
+        };
+        let (carrier, tags) = start(carrier_tags);
+        let name = if shared { "query.batch" } else { "query" };
+        let batched = if shared { 0..n_queries } else { 0..0 };
+        let queries = batched
+            .map(|i| {
+                let mut extra = vec![("batch", carrier.0.to_string())];
+                extra.extend(serve_tags(i));
+                let (trace, tags) = start(extra);
+                Some((trace, roots.obs.trace.begin(trace, None, "query", tags)))
+            })
+            .collect();
+        roots.carrier = Some(roots.obs.trace.enter_root(carrier, name, tags));
+        roots.queries = queries;
+        roots
+    }
+
+    /// `(per-query trace ids, carrier trace id of a shared batch)` of the
+    /// freshly opened roots — a lone query's trace is the carrier itself.
+    /// `None` when tracing is disabled.
+    fn trace_ids(&self) -> Option<(Vec<TraceId>, Option<TraceId>)> {
+        let carrier = self.carrier.as_ref()?.ctx().trace;
+        Some(if self.queries.is_empty() {
+            (vec![carrier], None)
+        } else {
+            let ids = self.queries.iter().flatten().map(|(t, _)| *t).collect();
+            (ids, Some(carrier))
+        })
+    }
+
+    fn completed(&self, trace: TraceId) {
+        self.obs.event(ObsEvent::TraceCompleted {
+            trace: trace.0,
+            spans: self.obs.trace.span_count(trace),
+        });
+    }
+
+    /// Closes batched query `i`'s root span: its fold is complete.
+    fn finish_query(&mut self, i: usize) {
+        if let Some((trace, span)) = self.queries.get_mut(i).and_then(Option::take) {
+            self.obs.trace.end(span);
+            self.completed(trace);
+        }
+    }
+}
+
+impl Drop for TraceRoots<'_> {
+    fn drop(&mut self) {
+        for i in 0..self.queries.len() {
+            self.finish_query(i);
+        }
+        if let Some(guard) = self.carrier.take() {
+            let trace = guard.ctx().trace;
+            drop(guard);
+            self.completed(trace);
+        }
+    }
 }
 
 /// Shared grouped-aggregation fold, also used by the BAM path.

@@ -15,19 +15,18 @@
 //!   served once per cycle.
 //! * **Shared-scan batching** — when the dispatcher picks a query, it
 //!   co-opts up to [`ServeConfig::batch_window`] *currently queued* queries
-//!   against the same table (round-robin across tenants again) into one
-//!   [`Engine::execute_shared`](crate::Engine::execute_shared) fan-out, so
-//!   concurrent arrivals share a scan instead of each paying one. The
-//!   window is queue-state-based, not wall-clock-based: dispatch never
-//!   waits for stragglers, which keeps batching deterministic under virtual
-//!   clocks (`batch_window = 0` disables it).
+//!   against the same table (round-robin across tenants again) into the
+//!   one [`ExecRequest`] it runs, so concurrent arrivals share a scan
+//!   instead of each paying one. The window is queue-state-based, not
+//!   wall-clock-based: dispatch never waits for stragglers, which keeps
+//!   batching deterministic under virtual clocks (`batch_window = 0`
+//!   disables it).
 //!
 //! Everything is observable through the server's own [`Obs`] bundle, on the
 //! device clock: `serve.*` counters, a `serve.queue.depth` gauge, per-tenant
 //! latency histograms, and `QueryAdmitted` / `QueryRejected` /
-//! `BatchFormed` / `QueryServed` journal events. Trace roots minted by the
-//! engine carry `tenant` and `serve.batch` tags (see
-//! [`SharedOutcome`](crate::executor::SharedOutcome)).
+//! `BatchFormed` / `QueryServed` journal events. The `query` trace roots the
+//! engine mints for a dispatch carry `tenant` and `serve.batch` tags.
 //!
 //! Locking discipline: one mutex guards the queue state; it is never held
 //! across a channel operation, a query execution, or a journal append — the
@@ -35,7 +34,7 @@
 //! scan. Wake-ups ride an unbounded token channel (one token per admit), so
 //! no condvar is needed and a spurious token is just an empty dispatch.
 
-use crate::executor::QueryOutcome;
+use crate::executor::{ExecRequest, QueryOutcome};
 use crate::query::Query;
 use crate::session::Session;
 use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
@@ -524,26 +523,19 @@ fn run_batch(shared: &Shared, batch: Batch) -> usize {
         tenants: distinct.len() as u64,
     });
 
-    let engine = shared.session.engine();
-    let results: Vec<Result<QueryOutcome>> = if n == 1 {
-        items
-            .iter()
-            .map(|p| engine.execute_for_tenant(&p.query, Some(p.tenant)))
-            .collect()
-    } else {
-        let queries: Vec<Query> = items.iter().map(|p| p.query.clone()).collect();
-        let tenants: Vec<u64> = items.iter().map(|p| p.tenant).collect();
-        match engine.execute_shared_for_tenants(&queries, &tenants, id) {
-            Ok(shared_outcome) => shared_outcome.outcomes.into_iter().map(Ok).collect(),
-            // A whole-scan failure answers every batched query with the same
-            // error; nothing is silently dropped.
-            Err(e) => items.iter().map(|_| Err(e.clone())).collect(),
-        }
+    let request = ExecRequest::served(items.iter().map(|p| (p.tenant, p.query.clone())), id);
+    let results: Vec<Result<QueryOutcome>> = match shared.session.run(request) {
+        Ok(out) => out.outcomes.into_iter().map(Ok).collect(),
+        // A whole-scan failure answers every batched query with the same
+        // error; nothing is silently dropped.
+        Err(e) => items.iter().map(|_| Err(e.clone())).collect(),
     };
     // Degradation is operator-level (a permanent device fault flips the scan
     // to external-table mode); sampling it at completion attributes the
     // degraded state to every tenant whose query just ran under it.
-    let degraded = engine
+    let degraded = shared
+        .session
+        .engine()
         .operator(&table)
         .map(|op| op.load_degraded())
         .unwrap_or(false);

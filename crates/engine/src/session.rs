@@ -30,130 +30,14 @@
 //! println!("{:?}", outcome.result.scalar());
 //! ```
 
-use crate::executor::{
-    AnalyzeReport, Engine, ExecMode, ExplainReport, QueryOutcome, SharedOutcome,
-};
-use crate::expr::Col;
+use crate::executor::{AnalyzeReport, Engine, ExecMode, ExecOutcome, ExecRequest, ExplainReport};
 use crate::query::Query;
 use crate::serve::{ServeConfig, Server};
-use scanraw_obs::QueryTrace;
 use scanraw_rawfile::TextDialect;
 use scanraw_simio::SimDisk;
 use scanraw_storage::{Database, RecoveryReport};
-use scanraw_types::{Error, Result, ScanRawConfig, Schema};
+use scanraw_types::{Result, ScanRawConfig, Schema};
 use std::sync::Arc;
-
-/// One execution request: a single query or a shared-scan batch, plus how to
-/// run it — per-request exec-mode override, tracing, widened projection.
-///
-/// This is the single entry point that replaces the old
-/// `execute`/`execute_traced`/`execute_shared`/`execute_shared_traced` ×
-/// [`ExecMode`] matrix: build a request, hand it to [`Session::run`].
-///
-/// ```ignore
-/// let out = session.run(
-///     ExecRequest::query(q).traced().mode(ExecMode::Serial),
-/// )?;
-/// ```
-#[derive(Debug, Clone)]
-pub struct ExecRequest {
-    queries: Vec<Query>,
-    shared: bool,
-    traced: bool,
-    mode: Option<ExecMode>,
-}
-
-impl ExecRequest {
-    /// A request running one query on its own scan.
-    pub fn query(q: Query) -> Self {
-        ExecRequest {
-            queries: vec![q],
-            shared: false,
-            traced: false,
-            mode: None,
-        }
-    }
-
-    /// A request answering a batch of same-table queries with one shared
-    /// scan (see [`Engine::execute_shared`] for the restrictions).
-    pub fn batch(queries: impl IntoIterator<Item = Query>) -> Self {
-        ExecRequest {
-            queries: queries.into_iter().collect(),
-            shared: true,
-            traced: false,
-            mode: None,
-        }
-    }
-
-    /// Collect the causal span tree(s) the request mints. [`Session::run`]
-    /// then fails when tracing is disabled on the table's recorder.
-    pub fn traced(mut self) -> Self {
-        self.traced = true;
-        self
-    }
-
-    /// Override the chunk-fold strategy for this request only; the session
-    /// default applies otherwise.
-    pub fn mode(mut self, mode: ExecMode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
-    /// Set an explicit projection on every query in the request (see
-    /// [`Query::select`]): the scan materializes these columns in addition
-    /// to the referenced ones, pre-heating them for speculative loading.
-    pub fn select(mut self, cols: impl IntoIterator<Item = impl Into<Col>>) -> Self {
-        let cols: Vec<Col> = cols.into_iter().map(Into::into).collect();
-        for q in &mut self.queries {
-            q.projection = Some(cols.clone());
-        }
-        self
-    }
-}
-
-/// What [`Session::run`] produced: one [`QueryOutcome`] per query in the
-/// request, with span trees alongside when the request was
-/// [`ExecRequest::traced`].
-#[derive(Debug, Clone)]
-pub struct ExecOutcome {
-    /// One outcome per query, in request order.
-    pub outcomes: Vec<QueryOutcome>,
-    /// Per-query span trees, parallel to `outcomes`; `None` entries unless
-    /// the request was traced.
-    pub query_traces: Vec<Option<QueryTrace>>,
-    /// The carrier trace of a traced shared batch (scan/exec/merge spans);
-    /// `None` for single queries and untraced batches.
-    pub batch_trace: Option<QueryTrace>,
-}
-
-impl ExecOutcome {
-    /// The only outcome of a single-query request.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on the outcome of a multi-query batch.
-    pub fn into_single(mut self) -> QueryOutcome {
-        assert_eq!(
-            self.outcomes.len(),
-            1,
-            "into_single on a {}-query outcome",
-            self.outcomes.len()
-        );
-        self.outcomes.pop().expect("one outcome")
-    }
-
-    /// The span tree of a traced single-query request.
-    pub fn into_traced_single(mut self) -> (QueryOutcome, QueryTrace) {
-        assert_eq!(self.outcomes.len(), 1, "into_traced_single on a batch");
-        let outcome = self.outcomes.pop().expect("one outcome");
-        let trace = self
-            .query_traces
-            .pop()
-            .flatten()
-            .expect("request was not traced");
-        (outcome, trace)
-    }
-}
 
 /// High-level query session: the single public entry point wrapping engine
 /// construction, table registration, execution, plan inspection, and crash
@@ -234,123 +118,10 @@ impl Session {
     }
 
     /// Runs an [`ExecRequest`]: one query or a shared-scan batch, with
-    /// per-request exec-mode, tracing, and projection options. This is the
-    /// session's single execution entry point; the deprecated
-    /// `execute*` methods are thin wrappers over it.
-    ///
-    /// # Errors
-    ///
-    /// Fails when any query fails validation or execution, when the request
-    /// holds no query, or when it is [`ExecRequest::traced`] but tracing is
-    /// disabled on the table's span recorder
-    /// (`op.obs().trace.set_enabled(false)`).
+    /// per-request exec-mode, tracing, and projection options. The session's
+    /// single execution entry point. See [`Engine::run`].
     pub fn run(&self, req: ExecRequest) -> Result<ExecOutcome> {
-        let ExecRequest {
-            queries,
-            shared,
-            traced,
-            mode,
-        } = req;
-        if shared {
-            let out = self
-                .engine
-                .execute_shared_inner(&queries, None, None, mode)?;
-            if !traced {
-                let n = out.outcomes.len();
-                return Ok(ExecOutcome {
-                    outcomes: out.outcomes,
-                    query_traces: vec![None; n],
-                    batch_trace: None,
-                });
-            }
-            let table = &queries.first().expect("batch validated non-empty").table;
-            let op = self.engine.operator(table)?;
-            if out.batch_trace.is_none() {
-                return Err(Error::query("tracing is disabled on this table's recorder"));
-            }
-            // Pending write-backs would leave open spans in the trees.
-            op.drain_writes();
-            Ok(ExecOutcome {
-                query_traces: out
-                    .query_traces
-                    .iter()
-                    .map(|t| t.map(|t| op.obs().trace.trace(t)))
-                    .collect(),
-                batch_trace: out.batch_trace.map(|t| op.obs().trace.trace(t)),
-                outcomes: out.outcomes,
-            })
-        } else {
-            let query = queries
-                .into_iter()
-                .next()
-                .ok_or_else(|| Error::query("ExecRequest holds no query"))?;
-            // The trace id travels back with the outcome (instead of reading
-            // the engine-wide "last trace" slot) so concurrent callers on a
-            // shared session always get their *own* span tree.
-            let (outcome, trace_id) = self.engine.execute_inner(&query, None, mode)?;
-            let query_traces = if traced {
-                let trace_id = trace_id
-                    .ok_or_else(|| Error::query("tracing is disabled on this table's recorder"))?;
-                let op = self.engine.operator(&query.table)?;
-                op.drain_writes();
-                vec![Some(op.obs().trace.trace(trace_id))]
-            } else {
-                vec![None]
-            };
-            Ok(ExecOutcome {
-                outcomes: vec![outcome],
-                query_traces,
-                batch_trace: None,
-            })
-        }
-    }
-
-    /// Runs an aggregate query. See [`Engine::execute`].
-    #[deprecated(note = "build an `ExecRequest::query` and call `Session::run`")]
-    pub fn execute(&self, query: &Query) -> Result<QueryOutcome> {
-        self.run(ExecRequest::query(query.clone()))
-            .map(ExecOutcome::into_single)
-    }
-
-    /// Answers a batch of queries over the same table with one shared scan.
-    /// See [`Engine::execute_shared`].
-    #[deprecated(note = "build an `ExecRequest::batch` and call `Session::run`")]
-    pub fn execute_shared(&self, queries: &[Query]) -> Result<Vec<QueryOutcome>> {
-        self.run(ExecRequest::batch(queries.to_vec()))
-            .map(|out| out.outcomes)
-    }
-
-    /// [`Session::run`] with a traced batch, returning raw trace ids rather
-    /// than extracted trees. See [`Engine::execute_shared_traced`].
-    #[deprecated(note = "build a traced `ExecRequest::batch` and call `Session::run`")]
-    pub fn execute_shared_traced(&self, queries: &[Query]) -> Result<SharedOutcome> {
-        self.engine.execute_shared_traced(queries)
-    }
-
-    /// Runs a query and returns its outcome together with the causal span
-    /// tree of everything the query did — scan, per-chunk reads and
-    /// conversions, consumer-side execution, the merge, write-backs, disk
-    /// operations, retries, and fallbacks. Pending write-backs are drained
-    /// first so every span in the tree is closed.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the query fails, or when tracing is disabled on the
-    /// table's span recorder (`op.obs().trace.set_enabled(false)`).
-    #[deprecated(note = "build a traced `ExecRequest::query` and call `Session::run`")]
-    pub fn execute_traced(&self, query: &Query) -> Result<(QueryOutcome, QueryTrace)> {
-        self.run(ExecRequest::query(query.clone()).traced())
-            .map(ExecOutcome::into_traced_single)
-    }
-
-    /// The span tree of the most recently completed traced query, or `None`
-    /// when no traced query has run. Drains `table`'s pending write-backs
-    /// first so late `write.chunk` spans are closed in the returned tree.
-    pub fn last_trace(&self, table: &str) -> Option<QueryTrace> {
-        if let Ok(op) = self.engine.operator(table) {
-            op.drain_writes();
-        }
-        self.engine.last_query_trace()
+        self.engine.run(req)
     }
 
     /// Explains a query without running it. See [`Engine::explain`].
@@ -384,8 +155,10 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AggExpr, Expr, Predicate};
+    use scanraw_obs::ObsEvent;
     use scanraw_rawfile::generate::{stage_csv, CsvSpec};
-    use scanraw_types::Value;
+    use scanraw_types::{Value, WritePolicy};
 
     #[test]
     fn session_lifecycle() {
@@ -410,39 +183,175 @@ mod tests {
         assert!(matches!(outcome.result.scalar(), Some(Value::Int(_))));
     }
 
+    /// Seeded query shapes: the paper's SUM micro-benchmark, a range filter
+    /// with several aggregate kinds, a group-by, and a widened projection.
+    fn seeded_shapes(cols: usize, seed: u64) -> Vec<Query> {
+        let range = Predicate::between(0, 1i64 << 20, (1i64 << 30) + (seed as i64) * 1_000_003);
+        let filtered = Query::builder("t")
+            .filter(range)
+            .aggregate(AggExpr::count())
+            .aggregate(AggExpr::sum(Expr::col(1)))
+            .aggregate(AggExpr::min(Expr::col(2)))
+            .aggregate(AggExpr::avg(Expr::col(1)))
+            .build()
+            .unwrap();
+        vec![
+            Query::sum_of_columns("t", 0..cols),
+            filtered,
+            Query::sum_of_columns("t", 0..1).with_group_by([cols - 1]),
+            Query::sum_of_columns("t", 0..1).select(0..cols),
+        ]
+    }
+
+    /// A single query is a batch of one: both request forms run the same
+    /// path, so they agree on rows, `rows_scanned` and chunk sources — cold
+    /// and warm, under both exec modes — and differ only in trace shape.
     #[test]
-    fn deprecated_shims_agree_with_run() {
+    fn single_query_is_a_batch_of_one() {
+        for seed in 1..=4u64 {
+            let cols = 3 + (seed % 2) as usize;
+            let spec = CsvSpec::new(500 + seed * 100, cols, seed);
+            // Odd seeds load everything and keep a 2-chunk cache (warm scans
+            // mix cache and db); even seeds never load and cache it all.
+            let config = if seed % 2 == 1 {
+                ScanRawConfig::default()
+                    .with_policy(WritePolicy::Eager)
+                    .with_cache_chunks(2)
+            } else {
+                ScanRawConfig::default().with_policy(WritePolicy::ExternalTables)
+            }
+            .with_chunk_rows(100)
+            .with_workers(2);
+            // A cold then a warm traced run of `req` on a fresh session.
+            let cold_then_warm = |req: ExecRequest| {
+                let disk = SimDisk::instant();
+                stage_csv(&disk, "t.csv", &spec);
+                let session = Session::open(disk);
+                session
+                    .register_table(
+                        "t",
+                        "t.csv",
+                        spec.schema(),
+                        TextDialect::CSV,
+                        config.clone(),
+                    )
+                    .unwrap();
+                [(); 2].map(|()| session.run(req.clone().traced()).unwrap())
+            };
+            for q in seeded_shapes(cols, seed) {
+                for mode in [ExecMode::Serial, ExecMode::Parallel] {
+                    let singles = cold_then_warm(ExecRequest::query(q.clone()).mode(mode));
+                    let batches = cold_then_warm(ExecRequest::batch([q.clone()]).mode(mode));
+                    for (single, batch) in singles.into_iter().zip(batches) {
+                        let ctx = format!("seed {seed} {mode:?} {q:?}");
+                        let (s, b) = (&single.outcomes[0], &batch.outcomes[0]);
+                        assert_eq!(s.result.rows, b.result.rows, "{ctx}");
+                        assert_eq!(s.result.rows_scanned, b.result.rows_scanned, "{ctx}");
+                        let sources = |scan: &scanraw::ScanSummary| {
+                            [
+                                scan.from_cache,
+                                scan.from_db,
+                                scan.from_raw,
+                                scan.from_hybrid,
+                                scan.skipped,
+                            ]
+                        };
+                        assert_eq!(sources(&s.scan), sources(&b.scan), "{ctx}");
+
+                        // Single: one trace whose `query` root carries the scan.
+                        assert!(single.batch_trace.is_none(), "{ctx}");
+                        let tree = single.query_traces[0].as_ref().expect("traced");
+                        tree.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        assert_eq!(tree.root().unwrap().name, "query", "{ctx}");
+                        assert_eq!(tree.spans_named("scan").count(), 1, "{ctx}");
+                        // Batch of one: the `query.batch` carrier holds the
+                        // scan, plus one root-only `query` trace.
+                        let carrier = batch.batch_trace.as_ref().expect("traced");
+                        carrier.validate().unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        assert_eq!(carrier.root().unwrap().name, "query.batch", "{ctx}");
+                        assert_eq!(carrier.spans_named("scan").count(), 1, "{ctx}");
+                        assert_eq!(batch.query_traces.len(), 1, "{ctx}");
+                        let root_only = batch.query_traces[0].as_ref().expect("traced");
+                        root_only
+                            .validate()
+                            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+                        assert_eq!(root_only.spans.len(), 1, "{ctx}");
+                        assert_eq!(root_only.root().unwrap().name, "query", "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// An eval error fails the run — for a batch, the whole batch — yet every
+    /// trace root the run opened is closed and journaled.
+    #[test]
+    fn failed_run_closes_every_trace_root() {
         let disk = SimDisk::instant();
-        stage_csv(&disk, "t.csv", &CsvSpec::new(500, 2, 3));
+        stage_csv(&disk, "t.csv", &CsvSpec::new(500, 3, 11));
         let session = Session::open(disk);
         session
             .register_table(
                 "t",
                 "t.csv",
-                Schema::uniform_ints(2),
+                Schema::uniform_ints(3),
                 TextDialect::CSV,
                 ScanRawConfig::default().with_chunk_rows(100),
             )
             .unwrap();
-        let q = Query::sum_of_columns("t", 0..2);
-        let via_run = session
-            .run(ExecRequest::query(q.clone()))
-            .unwrap()
-            .into_single();
-        #[allow(deprecated)]
-        let via_shim = session.execute(&q).unwrap();
-        assert_eq!(via_run.result.rows, via_shim.result.rows);
-        let batch = session
-            .run(ExecRequest::batch(vec![q.clone(), q.clone()]))
+        let overflowing = Query::builder("t")
+            .aggregate(AggExpr::sum(Expr::Mul(
+                Box::new(Expr::col(0)),
+                Box::new(Expr::lit(i64::MAX)),
+            )))
+            .build()
             .unwrap();
-        assert_eq!(batch.outcomes.len(), 2);
-        assert_eq!(batch.outcomes[0].result.rows, via_run.result.rows);
-        // Per-request mode override answers identically.
-        let serial = session
-            .run(ExecRequest::query(q).mode(ExecMode::Serial))
-            .unwrap()
-            .into_single();
-        assert_eq!(serial.result.rows, via_run.result.rows);
+        let op = session.engine().operator("t").unwrap();
+        let batch = ExecRequest::batch([
+            Query::sum_of_columns("t", 0..3),
+            overflowing.clone(),
+            Query::sum_of_columns("t", 1..2),
+        ]);
+        // (request, trace roots it opens): carrier + one per batched query.
+        let requests = [(batch, 4), (ExecRequest::query(overflowing), 1)];
+        for (mode, (req, roots)) in [ExecMode::Serial, ExecMode::Parallel]
+            .into_iter()
+            .flat_map(|m| requests.iter().map(move |r| (m, r.clone())))
+        {
+            let since = op.obs().journal.total_recorded();
+            let err = session.run(req.traced().mode(mode)).unwrap_err();
+            assert!(err.to_string().contains("integer overflow"), "{err}");
+            op.drain_writes();
+
+            let events: Vec<ObsEvent> = op
+                .obs()
+                .journal
+                .entries()
+                .into_iter()
+                .filter(|e| e.seq >= since)
+                .map(|e| e.event)
+                .collect();
+            let started: Vec<u64> = events
+                .iter()
+                .filter_map(|e| match e {
+                    ObsEvent::TraceStarted { trace, .. } => Some(*trace),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(started.len(), roots, "{mode:?}: trace roots opened");
+            for id in started {
+                let completed = events
+                    .iter()
+                    .filter(|e| matches!(e, ObsEvent::TraceCompleted { trace, .. } if *trace == id))
+                    .count();
+                assert_eq!(completed, 1, "{mode:?}: trace {id} completions");
+                op.obs()
+                    .trace
+                    .trace(scanraw_obs::TraceId(id))
+                    .validate()
+                    .unwrap_or_else(|e| panic!("{mode:?}: trace {id} left open: {e}"));
+            }
+        }
     }
 
     #[test]

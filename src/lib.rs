@@ -61,8 +61,8 @@ pub mod prelude {
     };
     pub use scanraw_engine::{
         AggExpr, AnalyzeReport, Col, Engine, ExecMode, ExecOutcome, ExecRequest, Expr, Predicate,
-        Query, QueryBuilder, QueryOutcome, ServeConfig, ServeCounters, Server, Session,
-        SharedOutcome, TenantId, Ticket,
+        Query, QueryBuilder, QueryOutcome, ServeConfig, ServeCounters, Server, Session, TenantId,
+        Ticket,
     };
     pub use scanraw_obs::{Obs, ObsEvent, QueryTrace, SpanRecord, TraceId};
     pub use scanraw_rawfile::generate::CsvSpec;

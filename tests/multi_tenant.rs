@@ -475,14 +475,12 @@ fn batched_queries_mint_their_own_query_roots() {
     let session = make_session(&spec, cols, config);
     let queries = seeded_queries(cols, 5);
 
-    let shared = session.engine().execute_shared_traced(&queries).unwrap();
+    let shared = session
+        .run(ExecRequest::batch(queries.clone()).traced())
+        .unwrap();
     assert_eq!(shared.outcomes.len(), queries.len());
-    let op = session.engine().operator("t").unwrap();
-    op.drain_writes();
-    let recorder = &op.obs().trace;
 
-    let batch_trace = shared.batch_trace.expect("tracing is on by default");
-    let carrier = recorder.trace(batch_trace);
+    let carrier = shared.batch_trace.expect("tracing is on by default");
     carrier
         .validate()
         .unwrap_or_else(|e| panic!("carrier trace invalid: {e}"));
@@ -490,17 +488,21 @@ fn batched_queries_mint_their_own_query_roots() {
     assert_eq!(carrier_root.name, "query.batch");
     assert_eq!(carrier_root.tag("queries"), Some("3"));
     assert!(
-        recorder.span_count(batch_trace) > 1,
+        carrier.spans.len() > 1,
         "the scan/exec/merge spans hang off the carrier"
     );
 
     assert_eq!(shared.query_traces.len(), queries.len());
     let mut seen = std::collections::BTreeSet::new();
-    for (i, id) in shared.query_traces.iter().enumerate() {
-        let id = id.unwrap_or_else(|| panic!("query {i}: no per-query trace"));
-        assert!(seen.insert(id.0), "query traces must be distinct");
-        assert_ne!(id, batch_trace, "per-query roots live outside the carrier");
-        let qt = recorder.trace(id);
+    for (i, qt) in shared.query_traces.iter().enumerate() {
+        let qt = qt
+            .as_ref()
+            .unwrap_or_else(|| panic!("query {i}: no per-query trace"));
+        assert!(seen.insert(qt.trace.0), "query traces must be distinct");
+        assert_ne!(
+            qt.trace, carrier.trace,
+            "per-query roots live outside the carrier"
+        );
         qt.validate()
             .unwrap_or_else(|e| panic!("query {i} trace invalid: {e}"));
         let root = qt.root().expect("per-query root span");
@@ -508,11 +510,11 @@ fn batched_queries_mint_their_own_query_roots() {
         assert_eq!(root.tag("mode"), Some("shared"));
         assert_eq!(
             root.tag("batch"),
-            Some(batch_trace.0.to_string().as_str()),
+            Some(carrier.trace.0.to_string().as_str()),
             "root links back to the carrier trace"
         );
         assert_eq!(
-            recorder.span_count(id),
+            qt.spans.len(),
             1,
             "root-only: the work itself is traced once, in the carrier"
         );

@@ -195,7 +195,14 @@ fn disabled_recorder_records_nothing_and_execute_traced_errors() {
         session.run(ExecRequest::query(q.clone()).traced()).is_err(),
         "no trace when disabled"
     );
-    assert!(session.last_trace("t").is_none());
+    assert!(
+        !op.obs()
+            .journal
+            .entries()
+            .iter()
+            .any(|e| matches!(e.event, ObsEvent::TraceStarted { .. })),
+        "no trace minted when disabled"
+    );
 
     // Re-enabling picks tracing back up on the same operator.
     op.obs().trace.set_enabled(true);

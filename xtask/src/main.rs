@@ -3,10 +3,10 @@
 //! Tasks:
 //! - `lint` — run the scanraw-lint analyzer (rules L001–L018) over the
 //!   workspace and exit non-zero on any unsilenced, unbaselined finding.
-//! - `bench` — build and run the PR5 serial-vs-parallel benchmark and the
-//!   PR10 column-granularity benchmark, writing `BENCH_PR5.json` and
-//!   `BENCH_PR10.json` at the workspace root. Pass `--smoke` for the small
-//!   CI-sized configuration; other arguments are forwarded to the binaries.
+//! - `bench` — run the repository's one benchmark (`perfbench/`, described
+//!   by `BENCHMARK.json`): every workload once at seed 1, end-to-end
+//!   metrics (`--trace 0`), each run ending in its JSON result line. Pass
+//!   `--smoke` for the small CI-sized configuration.
 //! - `trace` — run a seeded traced workload and export its validated span
 //!   tree as Chrome trace-event JSON (`scanraw.trace.json`, loadable in
 //!   Perfetto / `about://tracing`) plus a folded-stack flamegraph file
@@ -295,25 +295,14 @@ fn task_lint(args: &[String]) -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Runs a scanraw-bench binary in release mode, forwarding `args`.
-fn run_bench_bin(task: &str, bin: &str, args: &[String]) -> ExitCode {
-    let root = workspace_root();
+/// Runs `cargo <args>` from the workspace root.
+fn run_cargo(task: &str, what: &str, args: &[&str]) -> ExitCode {
     let mut cmd = std::process::Command::new(env!("CARGO"));
-    cmd.current_dir(&root)
-        .args([
-            "run",
-            "--release",
-            "-p",
-            "scanraw-bench",
-            "--bin",
-            bin,
-            "--",
-        ])
-        .args(args);
+    cmd.current_dir(workspace_root()).args(args);
     match cmd.status() {
         Ok(status) if status.success() => ExitCode::SUCCESS,
         Ok(status) => {
-            eprintln!("xtask {task}: {bin} exited with {status}");
+            eprintln!("xtask {task}: {what} exited with {status}");
             ExitCode::FAILURE
         }
         Err(e) => {
@@ -323,16 +312,60 @@ fn run_bench_bin(task: &str, bin: &str, args: &[String]) -> ExitCode {
     }
 }
 
+/// The benchmark's workloads, as `BENCHMARK.json` names them.
+const WORKLOADS: [&str; 5] = [
+    "cold_full",
+    "proj2_lifecycle",
+    "warm_exec",
+    "throttled_seq",
+    "serve_4tenant",
+];
+
 fn task_bench(args: &[String]) -> ExitCode {
-    let pr5 = run_bench_bin("bench", "pr5", args);
-    if pr5 != ExitCode::SUCCESS {
-        return pr5;
+    // `--smoke`: a sixteenth of the table and one second per workload.
+    let size: &[&str] = match args {
+        [] => &["--seconds", "10"],
+        [flag] if flag == "--smoke" => &["--seconds", "1", "--rows", "24576"],
+        _ => {
+            eprintln!("usage: cargo xtask bench [--smoke]");
+            return ExitCode::FAILURE;
+        }
+    };
+    for workload in WORKLOADS {
+        let mut cargo_args = vec![
+            "run",
+            "--release",
+            "--offline",
+            "--manifest-path",
+            "perfbench/Cargo.toml",
+            "--",
+            "--workload",
+            workload,
+            "--seed",
+            "1",
+            "--trace",
+            "0",
+        ];
+        cargo_args.extend(size);
+        if run_cargo("bench", workload, &cargo_args) != ExitCode::SUCCESS {
+            return ExitCode::FAILURE;
+        }
     }
-    run_bench_bin("bench", "pr10", args)
+    ExitCode::SUCCESS
 }
 
 fn task_trace(args: &[String]) -> ExitCode {
-    run_bench_bin("trace", "trace", args)
+    let mut cargo_args = vec![
+        "run",
+        "--release",
+        "-p",
+        "scanraw-bench",
+        "--bin",
+        "trace",
+        "--",
+    ];
+    cargo_args.extend(args.iter().map(String::as_str));
+    run_cargo("trace", "trace", &cargo_args)
 }
 
 fn main() -> ExitCode {
@@ -343,7 +376,7 @@ fn main() -> ExitCode {
         Some("trace") => task_trace(&args[1..]),
         None => {
             eprintln!(
-                "usage: cargo xtask <task>\n\ntasks:\n  lint    run the static analysis catalog (L001-L018)\n          options: --format text|json|sarif|github|callgraph|effects, --output <path>,\n                   --baseline <path>, --no-baseline, --update-baseline,\n                   --timing, --budget-ms <n>, --explain <RULE>\n  bench   run the PR5 serial-vs-parallel and PR10 column-granularity\n          benchmarks (writes BENCH_PR5.json and BENCH_PR10.json)\n          options: --smoke (small CI configuration)\n  trace   run a seeded traced workload and export its span tree\n          (writes scanraw.trace.json for Perfetto and scanraw.folded)\n          options: --smoke (small CI configuration)"
+                "usage: cargo xtask <task>\n\ntasks:\n  lint    run the static analysis catalog (L001-L018)\n          options: --format text|json|sarif|github|callgraph|effects, --output <path>,\n                   --baseline <path>, --no-baseline, --update-baseline,\n                   --timing, --budget-ms <n>, --explain <RULE>\n  bench   run the benchmark (perfbench/, see BENCHMARK.json): every\n          workload once, end-to-end metrics and a JSON result line each\n          options: --smoke (small CI configuration)\n  trace   run a seeded traced workload and export its span tree\n          (writes scanraw.trace.json for Perfetto and scanraw.folded)\n          options: --smoke (small CI configuration)"
             );
             ExitCode::FAILURE
         }

@@ -69,6 +69,26 @@ impl Entry {
     }
 }
 
+/// The chunk a re-insert of `new` over `resident` leaves cached: it has
+/// every column either of them has. A scan planned on [`ChunkCache::covers`]
+/// may be about to `get` the resident chunk, so a narrower copy (say a
+/// database read of only the loaded columns) must not take columns away.
+fn keep_resident_columns(resident: &Arc<BinaryChunk>, new: Arc<BinaryChunk>) -> Arc<BinaryChunk> {
+    if new.covers(&resident.present_columns()) {
+        return new;
+    }
+    if resident.covers(&new.present_columns()) {
+        return resident.clone();
+    }
+    let mut merged = BinaryChunk::clone(&new);
+    for (slot, old) in merged.columns.iter_mut().zip(&resident.columns) {
+        if slot.is_none() {
+            slot.clone_from(old);
+        }
+    }
+    Arc::from(merged)
+}
+
 fn loaded_bits(chunk: &BinaryChunk, loaded_cols: &[usize]) -> Vec<bool> {
     let mut bits = vec![false; chunk.columns.len()];
     for &c in loaded_cols {
@@ -158,7 +178,9 @@ impl ChunkCache {
     /// (chunk, col) cells are already stored in the database. Returns the
     /// victim evicted to make room, if the cache was full. Re-inserting an
     /// existing id unions the loaded bits — a cell the WRITE thread already
-    /// committed can never be un-marked by a racing delivery.
+    /// committed can never be un-marked by a racing delivery — and keeps
+    /// every column the resident chunk had, so `covers` never turns false
+    /// while the id stays resident.
     ///
     /// Victim selection: least-recently-used among fully-loaded entries
     /// first; only if every entry has missing cells, the globally
@@ -173,6 +195,7 @@ impl ChunkCache {
         let stamp = g.bump_stamp();
         let seq = g.bump_seq();
         if let Some(e) = g.map.get_mut(&chunk.id) {
+            let chunk = keep_resident_columns(&e.chunk, chunk);
             let mut bits = loaded_bits(&chunk, loaded_cols);
             for (i, old) in e.loaded_cols.iter().enumerate() {
                 if *old {
@@ -419,6 +442,40 @@ mod tests {
         // must not un-mark column 1.
         c.insert(chunk_cols(1, 2), &[0]);
         assert!(c.unloaded_cells().is_empty(), "bits union, never clear");
+    }
+
+    /// A chunk with only the listed columns present (of `n_cols`).
+    fn chunk_with(id: u32, n_cols: usize, present: &[usize]) -> Arc<BinaryChunk> {
+        use scanraw_types::ColumnData;
+        let mut b = BinaryChunk::empty(ChunkId(id), id as u64 * 2, 2, n_cols);
+        for &c in present {
+            b.columns[c] = Some(ColumnData::Int64(vec![c as i64, 2]));
+        }
+        Arc::new(b)
+    }
+
+    #[test]
+    fn narrow_reinsert_keeps_resident_columns() {
+        let c = ChunkCache::new(2);
+        c.insert(chunk_with(1, 3, &[0, 1, 2]), &[]);
+        // A database-served copy holding only the loaded column lands on top.
+        c.insert(chunk_with(1, 3, &[1]), &[1]);
+        assert!(c.covers(ChunkId(1), &[0, 1, 2]), "no column was dropped");
+        let cells = c.unloaded_cells();
+        assert_eq!(cells[0].1, vec![0, 2], "the loaded bit still landed");
+    }
+
+    #[test]
+    fn overlapping_reinsert_grafts_both_sides() {
+        let c = ChunkCache::new(2);
+        c.insert(chunk_with(1, 3, &[0, 1]), &[0]);
+        c.insert(chunk_with(1, 3, &[1, 2]), &[2]);
+        assert!(c.covers(ChunkId(1), &[0, 1, 2]));
+        assert_eq!(c.unloaded_cells()[0].1, vec![1], "loaded bits union");
+        // A wider re-insert replaces wholesale.
+        let wide = chunk_with(1, 3, &[0, 1, 2]);
+        c.insert(wide.clone(), &[]);
+        assert!(Arc::ptr_eq(&c.peek(ChunkId(1)).unwrap(), &wide));
     }
 
     #[test]

@@ -24,6 +24,12 @@
 //!   policies of [`WritePolicy`]: external tables, eager ETL, buffered,
 //!   invisible, and the paper's speculative loading with its end-of-scan
 //!   safeguard (§4).
+//! * `queue` (crate-private) — the per-scan work queue: the text-chunks
+//!   buffer, the position buffer and the engine's EXEC lane behind one lock.
+//!   READ blocks on it, workers block on it, and closing it is how a scan
+//!   shuts down; there is no timer and no stop flag in the pipeline.
+//! * [`stream`] — the engine-facing end: the chunk iterator, the EXEC
+//!   handle, and `finish`/`Drop`, which close the queue and join the threads.
 //! * [`cache`] — the binary chunks cache: LRU biased toward evicting chunks
 //!   already loaded in the database (§3.1 "Caching").
 //! * [`profile`] — per-stage timing and worker-utilization tracking (the data
@@ -34,12 +40,14 @@
 //! ## Worker scheduling note
 //!
 //! The paper separates TOKENIZE/PARSE *consumer* threads that request workers
-//! from a scheduler-managed pool. Here each pool worker selects work directly
-//! from the stage buffers, preferring the downstream (PARSE) buffer — the
-//! same dynamic stage assignment and back-pressure behaviour with fewer
-//! moving parts; buffer capacities still gate progress exactly as in §3.2.1.
-//! The scheduler thread retains everything observable: READ/WRITE disk
-//! arbitration and the write policies.
+//! from a scheduler-managed pool. Here each pool worker takes work directly
+//! from the scan's queue, downstream-most lane first (EXEC, then PARSE, then
+//! TOKENIZE) — the same dynamic stage assignment and back-pressure behaviour
+//! with fewer moving parts; the buffer capacities still gate READ exactly as
+//! in §3.2.1, and a worker that finds the position buffer full parses its
+//! chunk itself instead of waiting. The scheduler thread retains everything
+//! observable: READ/WRITE disk arbitration and the write policies, driven by
+//! READ-blocked as a level (`ReadBlocked` … `ReadResumed`).
 //!
 //! [`WritePolicy`]: scanraw_types::WritePolicy
 
@@ -48,6 +56,7 @@
 pub mod cache;
 pub mod operator;
 pub mod profile;
+mod queue;
 pub mod registry;
 mod retry;
 pub mod scheduler;

@@ -12,10 +12,11 @@
 
 use crate::cache::ChunkCache;
 use crate::profile::{Profiler, Stage};
+use crate::queue::{TextPushError, Work, WorkQueue};
 use crate::retry::{with_retry, RetryPolicy, DB_FALLBACK_COUNTER};
 use crate::scheduler::{run_scheduler, ColumnHeat, Event, Writer};
 use crate::stream::{ChunkStream, ExecTask, ScanCounters, ScanState};
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::Mutex;
 use scanraw_obs::trace::{self, worker_label, SpanCtx};
 use scanraw_obs::{Histogram, Obs, ObsEvent};
@@ -30,7 +31,6 @@ use scanraw_types::{
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Push-down selection request: predicate columns are parsed first, the rest
 /// only for qualifying rows (paper §2, PARSE). Chunks produced under push-down
@@ -153,9 +153,9 @@ impl ScanRequest {
 
 pub use crate::stream::ScanSummary;
 
-/// Raw chunk travelling through the text-chunks buffer, with optional
-/// per-chunk conversion overrides for hybrid database+raw reads.
-struct RawJob {
+/// Raw chunk travelling through the text lane, with optional per-chunk
+/// conversion overrides for hybrid database+raw reads.
+pub(crate) struct RawJob {
     text: TextChunk,
     /// Columns already loaded and read from the database, to be merged with
     /// the freshly converted ones (hybrid reads, §3.2.1).
@@ -164,34 +164,61 @@ struct RawJob {
     convert_cols: Option<Arc<Vec<usize>>>,
     /// Per-chunk tokenize-prefix override.
     cols_mapped: Option<usize>,
+    /// The scan this chunk belongs to. The job's reference keeps the scan's
+    /// `out` sender alive until the chunk is delivered.
+    ctx: Arc<ScanCtx>,
 }
 
 impl RawJob {
-    fn plain(text: TextChunk) -> Self {
+    fn plain(text: TextChunk, ctx: &Arc<ScanCtx>) -> Self {
         RawJob {
             text,
             base: None,
             convert_cols: None,
             cols_mapped: None,
+            ctx: ctx.clone(),
         }
     }
 }
 
-/// Tokenized chunk travelling through the position buffer.
-struct TokenizedChunk {
+/// Tokenized chunk travelling through the position lane.
+pub(crate) struct TokenizedChunk {
     job: RawJob,
     map: PositionalMap,
 }
 
-/// Per-worker stage histograms (`pipeline.worker.<w>.<stage>.nanos`).
+/// The work queue of one scan: EXEC tasks, tokenized chunks, raw chunks.
+pub(crate) type ScanQueue = WorkQueue<ExecTask, TokenizedChunk, RawJob>;
+
+/// Per-worker stage histograms (`pipeline.worker.<w>.<stage>.nanos`): wall
+/// time the worker spent in each stage, so pool imbalance is visible even
+/// when the pure per-chunk compute times are uniform.
 struct WorkerHists {
     tokenize: Histogram,
     parse: Histogram,
     exec: Histogram,
 }
 
-/// Scan-wide conversion parameters shared by READ and the workers.
-struct ScanParams {
+/// Runs `f` and records its wall time in `hist`.
+fn timed<T>(hist: &Histogram, f: impl FnOnce() -> T) -> T {
+    // effect-ok: CPU-time stat for the stage histograms, never in scan output
+    let t = std::time::Instant::now();
+    let r = f();
+    hist.observe_duration(t.elapsed());
+    r
+}
+
+/// Everything the pipeline threads of one scan share, as one value. READ
+/// holds a reference and so does every raw job in flight, and nobody else:
+/// the engine's chunk stream ends (the last `out` sender is gone) exactly
+/// when READ has returned and the last job has been delivered or discarded.
+pub(crate) struct ScanCtx {
+    out: Sender<Result<Arc<BinaryChunk>>>,
+    events: Sender<Event>,
+    counters: Arc<ScanCounters>,
+    queue: Arc<ScanQueue>,
+    /// Columns the query reads; a delivered chunk must cover them.
+    projection: Vec<usize>,
     convert_cols: Vec<usize>,
     cols_mapped: usize,
     pushdown: Option<Arc<PushdownFilter>>,
@@ -200,6 +227,18 @@ struct ScanParams {
     /// The scan's span context; pipeline threads pin it as their ambient
     /// span so stage spans attach under the scan.
     trace: Option<SpanCtx>,
+}
+
+impl ScanCtx {
+    /// Sends a chunk to the engine. False when the consumer is gone; the
+    /// queue is closed on the way out so every pipeline thread unwinds.
+    fn send(&self, chunk: Arc<BinaryChunk>) -> bool {
+        let delivered = self.out.send(Ok(chunk)).is_ok();
+        if !delivered {
+            self.queue.close();
+        }
+        delivered
+    }
 }
 
 /// The ScanRaw physical operator (paper §3).
@@ -543,14 +582,6 @@ impl ScanRaw {
                 span: id,
             }
         });
-        let params = Arc::new(ScanParams {
-            convert_cols: convert_cols.clone(),
-            cols_mapped,
-            pushdown: request.pushdown.clone(),
-            workers,
-            trace: scan_span,
-        });
-
         self.obs.event(ObsEvent::QueryStart {
             table: self.table.clone(),
             columns: needed.len() as u64,
@@ -558,121 +589,84 @@ impl ScanRaw {
         let clock = self.db.disk().clock().clone();
         let started_at = clock.now();
         let counters = Arc::new(ScanCounters::default());
-        let stop = Arc::new(AtomicBool::new(false));
-        let in_pipeline = Arc::new(AtomicUsize::new(0));
+
+        // Plan chunk sources (cache → database → raw, §3.2.1).
+        let plan = self.plan_scan(&needed, request.skip_predicate.as_ref())?;
+        counters.skipped.store(plan.skipped, Ordering::Release);
 
         let (out_tx, out_rx) =
             bounded::<Result<Arc<BinaryChunk>>>(self.config.binary_cache_chunks.max(2));
         let (events_tx, events_rx) = unbounded::<Event>();
-        let (text_tx, text_rx) = bounded::<RawJob>(self.config.text_buffer_chunks);
-        let (pos_tx, pos_rx) = bounded::<TokenizedChunk>(self.config.position_buffer_chunks);
-        // Consumer-execution channel: the engine partitions delivered chunks
-        // back onto this pool for predicate + partial-aggregate work.
-        let (exec_tx, exec_rx) = unbounded::<ExecTask>();
-
-        // ------------------------------------------------------------------
-        // Plan chunk sources (cache → database → raw, §3.2.1).
-        // ------------------------------------------------------------------
-        let plan = self.plan_scan(&needed, request.skip_predicate.as_ref())?;
-        counters.skipped.store(plan.skipped, Ordering::Release);
-
-        // ------------------------------------------------------------------
-        // READ thread.
-        // ------------------------------------------------------------------
-        let read_handle = {
-            let op = self.clone();
-            let out = out_tx.clone();
-            let text_tx = text_tx.clone();
-            let events = events_tx.clone();
-            let counters = counters.clone();
-            let stop = stop.clone();
-            let in_pipeline = in_pipeline.clone();
-            let params = params.clone();
-            let writer = self.writer.clone();
-            std::thread::Builder::new()
-                .name(format!("scanraw-read-{}", self.table))
-                .spawn(move || {
-                    let r = op.read_thread(
-                        plan,
-                        out,
-                        text_tx,
-                        events.clone(),
-                        counters,
-                        stop,
-                        in_pipeline,
-                        &params,
-                        writer,
-                    );
-                    let _ = events.send(Event::RawScanComplete);
-                    r
-                })
-                .map_err(|e| Error::Pipeline(format!("spawn READ: {e}")))?
+        let queue = Arc::new(ScanQueue::new(
+            self.config.text_buffer_chunks,
+            self.config.position_buffer_chunks,
+        ));
+        let ctx = Arc::new(ScanCtx {
+            out: out_tx,
+            events: events_tx.clone(),
+            counters: counters.clone(),
+            queue: queue.clone(),
+            projection: needed,
+            convert_cols,
+            cols_mapped,
+            pushdown: request.pushdown,
+            workers,
+            trace: scan_span,
+        });
+        // A thread that cannot be spawned fails the scan; closing the queue
+        // releases the threads already parked on it.
+        let spawn_failed = |what: &str, e: std::io::Error| {
+            queue.close();
+            Error::Pipeline(format!("spawn {what}: {e}"))
         };
-        drop(text_tx);
 
-        // ------------------------------------------------------------------
-        // Worker pool (TOKENIZE / PARSE, dynamically assigned).
-        // ------------------------------------------------------------------
+        // Worker pool (TOKENIZE / PARSE / EXEC, dynamically assigned).
         let mut worker_handles = Vec::with_capacity(workers);
         for w in 0..workers {
             let op = self.clone();
-            let text_rx = text_rx.clone();
-            let pos_rx = pos_rx.clone();
-            let pos_tx = pos_tx.clone();
-            let out = out_tx.clone();
-            let events = events_tx.clone();
-            let exec_rx = exec_rx.clone();
-            let counters = counters.clone();
-            let stop = stop.clone();
-            let in_pipeline = in_pipeline.clone();
-            let params = params.clone();
+            let queue = queue.clone();
             let h = std::thread::Builder::new()
                 .name(format!("scanraw-worker-{}-{w}", self.table))
-                .spawn(move || {
-                    op.worker_loop(
-                        w,
-                        text_rx,
-                        pos_rx,
-                        pos_tx,
-                        out,
-                        events,
-                        exec_rx,
-                        counters,
-                        stop,
-                        in_pipeline,
-                        &params,
-                    );
-                })
-                .map_err(|e| Error::Pipeline(format!("spawn worker: {e}")))?;
+                .spawn(move || op.worker_loop(w, &queue, scan_span))
+                .map_err(|e| spawn_failed("worker", e))?;
             worker_handles.push(h);
         }
-        drop(pos_tx);
-        drop(pos_rx);
-        drop(text_rx);
-        drop(out_tx);
-        drop(exec_rx);
 
-        // ------------------------------------------------------------------
         // Scheduler thread (write policy).
-        // ------------------------------------------------------------------
         let scheduler_handle = {
-            let policy = self.config.write_policy;
-            let cache = self.cache.clone();
-            let writer = self.writer.clone();
-            let db = self.db.clone();
-            let table = self.table.clone();
-            let events_tx2 = events_tx.clone();
-            let obs = self.obs.clone();
-            let heat = self.heat.clone();
+            let op = self.clone();
+            let events_tx = events_tx.clone();
             std::thread::Builder::new()
                 .name(format!("scanraw-sched-{}", self.table))
                 .spawn(move || {
                     run_scheduler(
-                        policy, events_rx, events_tx2, cache, &writer, &db, &table, &heat, &obs,
+                        op.config.write_policy,
+                        events_rx,
+                        events_tx,
+                        op.cache.clone(),
+                        &op.writer,
+                        &op.db,
+                        &op.table,
+                        &op.heat,
+                        &op.obs,
                         scan_span,
                     )
                 })
-                .map_err(|e| Error::Pipeline(format!("spawn scheduler: {e}")))?
+                .map_err(|e| spawn_failed("scheduler", e))?
+        };
+
+        // READ thread. It takes the scan context with it: once it returns,
+        // only in-flight jobs keep the chunk stream open.
+        let read_handle = {
+            let op = self.clone();
+            std::thread::Builder::new()
+                .name(format!("scanraw-read-{}", self.table))
+                .spawn(move || {
+                    let r = op.read_thread(plan, &ctx);
+                    let _ = ctx.events.send(Event::RawScanComplete);
+                    r
+                })
+                .map_err(|e| spawn_failed("READ", e))?
         };
 
         let wait_for_writes = matches!(
@@ -692,9 +686,7 @@ impl ScanRaw {
             started_at,
             obs: self.obs.clone(),
             table: self.table.clone(),
-            // Sequential regime has no pool to serve EXEC tasks: holding the
-            // sender would strand engine-submitted work forever.
-            exec_tx: (workers > 0).then_some(exec_tx),
+            queue,
             workers,
             scan_span,
         };
@@ -781,30 +773,14 @@ impl ScanRaw {
     // READ thread body
     // ----------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn read_thread(
-        self: &Arc<Self>,
-        plan: ScanPlan,
-        out: Sender<Result<Arc<BinaryChunk>>>,
-        text_tx: Sender<RawJob>,
-        events: Sender<Event>,
-        counters: Arc<ScanCounters>,
-        stop: Arc<AtomicBool>,
-        in_pipeline: Arc<AtomicUsize>,
-        params: &Arc<ScanParams>,
-        writer: Arc<Writer>,
-    ) -> Result<()> {
+    fn read_thread(&self, plan: ScanPlan, ctx: &Arc<ScanCtx>) -> Result<()> {
         let clock = self.db.disk().clock().clone();
         // Pin the scan span as this thread's ambient context: every
         // read.chunk / retry / db.fallback / disk span below lands under it.
-        let _ambient = params.trace.map(trace::set_current);
+        let _ambient = ctx.trace.map(trace::set_current);
 
         // Phase 1: cached chunks — no I/O, no conversion.
         for meta in &plan.cached {
-            // relaxed-ok: advisory stop flag — a stale read only delays shutdown by one iteration
-            if stop.load(Ordering::Relaxed) {
-                return Ok(());
-            }
             let _span = self.obs.trace.enter_current(
                 "read.chunk",
                 vec![
@@ -813,40 +789,25 @@ impl ScanRaw {
                 ],
             );
             let t0 = clock.now();
-            match self.cache.get(meta.id) {
-                Some(chunk) => {
-                    counters.from_cache.fetch_add(1, Ordering::Release);
-                    let t1 = clock.now();
-                    self.profiler.record(Stage::Deliver, t1 - t0, t0, t1);
-                    if out.send(Ok(chunk)).is_err() {
-                        // relaxed-ok: advisory stop flag — readers need eventual visibility only
-                        stop.store(true, Ordering::Relaxed);
-                        return Ok(());
-                    }
+            // Since planning the chunk may have been evicted, or evicted and
+            // re-inserted by a concurrent scan of fewer columns: anything
+            // short of the projection is a miss, served by the database or
+            // the raw file instead.
+            let hit = self.cache.get(meta.id);
+            if let Some(chunk) = hit.filter(|c| c.covers(&ctx.projection)) {
+                ctx.counters.from_cache.fetch_add(1, Ordering::Release);
+                let t1 = clock.now();
+                self.profiler.record(Stage::Deliver, t1 - t0, t0, t1);
+                if !ctx.send(chunk) {
+                    return Ok(());
                 }
-                None => {
-                    // Raced out of the cache since planning; fall back to the
-                    // database or raw file.
-                    if let Ok(chunk) = self.retry_load_from_db(meta, &params.convert_cols) {
-                        counters.from_db.fetch_add(1, Ordering::Release);
-                        if out.send(Ok(Arc::new(chunk))).is_err() {
-                            // relaxed-ok: advisory stop flag — readers need eventual visibility only
-                            stop.store(true, Ordering::Relaxed);
-                            return Ok(());
-                        }
-                    } else {
-                        self.feed_raw_chunk(
-                            meta,
-                            &text_tx,
-                            &out,
-                            &events,
-                            &counters,
-                            &stop,
-                            &in_pipeline,
-                            params,
-                        )?;
-                    }
+            } else if let Ok(chunk) = self.retry_load_from_db(meta, &ctx.projection) {
+                ctx.counters.from_db.fetch_add(1, Ordering::Release);
+                if !ctx.send(Arc::new(chunk)) {
+                    return Ok(());
                 }
+            } else if !self.feed_raw_chunk(meta, ctx)? {
+                return Ok(());
             }
         }
 
@@ -854,17 +815,13 @@ impl ScanRaw {
         // query's safeguard flush) finish — §4: "only the reading of new
         // chunks from disk has to be delayed until flushing the cache".
         if (!plan.from_db.is_empty() || !plan.raw.is_empty() || plan.streaming)
-            && writer.pending() > 0
+            && self.writer.pending() > 0
         {
-            writer.barrier();
+            self.writer.barrier();
         }
 
         // Phase 2: chunks already loaded in the database — binary reads.
         for meta in &plan.from_db {
-            // relaxed-ok: advisory stop flag — a stale read only delays shutdown by one iteration
-            if stop.load(Ordering::Relaxed) {
-                return Ok(());
-            }
             let _span = self.obs.trace.enter_current(
                 "read.chunk",
                 vec![
@@ -873,53 +830,37 @@ impl ScanRaw {
                 ],
             );
             let t0 = clock.now();
-            let loaded = self.retry_load_from_db(meta, &params.convert_cols);
+            let loaded = self.retry_load_from_db(meta, &ctx.projection);
             let t1 = clock.now();
             self.profiler.record(Stage::Read, t1 - t0, t0, t1);
-            let chunk = match loaded {
-                Ok(c) => c,
-                Err(_) => {
-                    // The database copy is unreadable even after retries
-                    // (permanent fault or persistent corruption): answer
-                    // from the raw file instead — a loading failure must
-                    // never fail the query.
-                    self.note_db_fallback(meta.id);
-                    self.feed_raw_chunk(
-                        meta,
-                        &text_tx,
-                        &out,
-                        &events,
-                        &counters,
-                        &stop,
-                        &in_pipeline,
-                        params,
-                    )?;
-                    continue;
+            let Ok(chunk) = loaded else {
+                // The database copy is unreadable even after retries
+                // (permanent fault or persistent corruption): answer from
+                // the raw file instead — a loading failure must never fail
+                // the query.
+                self.note_db_fallback(meta.id);
+                if !self.feed_raw_chunk(meta, ctx)? {
+                    return Ok(());
                 }
+                continue;
             };
-            counters.from_db.fetch_add(1, Ordering::Release);
+            ctx.counters.from_db.fetch_add(1, Ordering::Release);
             let arc = Arc::new(chunk);
-            if out.send(Ok(arc.clone())).is_err() {
-                // relaxed-ok: advisory stop flag — readers need eventual visibility only
-                stop.store(true, Ordering::Relaxed);
+            if !ctx.send(arc.clone()) {
                 return Ok(());
             }
             // Database chunks enter the cache with every present column
             // marked loaded (biased toward early eviction).
             let present = arc.present_columns();
             if let Some(ev) = self.cache.insert(arc, &present) {
-                let _ = events.send(Event::Evicted(ev));
+                let _ = ctx.events.send(Event::Evicted(ev));
             }
         }
 
         // Phase 2.5: hybrid chunks — loaded columns from the database, the
         // missing ones converted from the raw file and merged (§3.2.1).
-        let needed: Vec<usize> = params.convert_cols.clone();
+        let needed = &ctx.convert_cols;
         for meta in &plan.hybrid {
-            // relaxed-ok: advisory stop flag — a stale read only delays shutdown by one iteration
-            if stop.load(Ordering::Relaxed) {
-                return Ok(());
-            }
             let _span = self.obs.trace.enter_current(
                 "read.chunk",
                 vec![
@@ -928,7 +869,7 @@ impl ScanRaw {
                 ],
             );
             let t0 = clock.now();
-            let loaded = self.db.loaded_columns(&self.table, meta.id, &needed)?;
+            let loaded = self.db.loaded_columns(&self.table, meta.id, needed)?;
             let base = self.io_retry(&format!("db/{}", self.table), || {
                 self.db.load_chunk(&self.table, meta.id, &loaded)
             });
@@ -937,41 +878,25 @@ impl ScanRaw {
             })?;
             let t1 = clock.now();
             self.profiler.record(Stage::Read, t1 - t0, t0, t1);
-            counters.hybrid.fetch_add(1, Ordering::Release);
+            ctx.counters.hybrid.fetch_add(1, Ordering::Release);
             self.obs.metrics.counter("scanraw.cols.hybrid_chunks").inc();
-            let job = match base {
+            let mut job = RawJob::plain(text, ctx);
+            match base {
                 Ok(base) => {
                     let missing: Vec<usize> = needed
                         .iter()
                         .copied()
                         .filter(|c| !loaded.contains(c))
                         .collect();
-                    let cols_mapped = missing.last().map(|&c| c + 1).unwrap_or(1);
-                    RawJob {
-                        text,
-                        base: Some(Arc::new(base)),
-                        convert_cols: Some(Arc::new(missing)),
-                        cols_mapped: Some(cols_mapped),
-                    }
+                    job.cols_mapped = Some(missing.last().map(|&c| c + 1).unwrap_or(1));
+                    job.convert_cols = Some(Arc::new(missing));
+                    job.base = Some(Arc::new(base));
                 }
-                Err(_) => {
-                    // The loaded columns are unreadable: convert the whole
-                    // chunk from the raw text just read.
-                    self.note_db_fallback(meta.id);
-                    RawJob::plain(text)
-                }
-            };
-            if !self.dispatch_raw_job(
-                job,
-                &text_tx,
-                &out,
-                &events,
-                &counters,
-                &stop,
-                &in_pipeline,
-                params,
-                false,
-            )? {
+                // The loaded columns are unreadable: convert the whole chunk
+                // from the raw text just read.
+                Err(_) => self.note_db_fallback(meta.id),
+            }
+            if !self.dispatch_raw_job(job, ctx) {
                 return Ok(());
             }
         }
@@ -983,13 +908,7 @@ impl ScanRaw {
                 self.raw_file.clone(),
                 self.config.chunk_rows,
             )?;
-            let mut complete = true;
             loop {
-                // relaxed-ok: advisory stop flag — a stale read only delays shutdown by one iteration
-                if stop.load(Ordering::Relaxed) {
-                    complete = false;
-                    break;
-                }
                 // Streaming discovers the chunk id only after the read, so
                 // the span opens with the source tag alone and is attributed
                 // to its chunk below. (The final iteration reads to discover
@@ -1020,59 +939,27 @@ impl ScanRaw {
                         rows: chunk.rows,
                     },
                 )?;
-                if !self.dispatch_raw_job(
-                    RawJob::plain(chunk),
-                    &text_tx,
-                    &out,
-                    &events,
-                    &counters,
-                    &stop,
-                    &in_pipeline,
-                    params,
-                    true,
-                )? {
-                    complete = false;
-                    break;
-                }
-            }
-            if complete {
-                self.db.catalog().mark_layout_complete(&self.table)?;
-                self.layout_known.store(true, Ordering::Release);
-            }
-        } else {
-            for meta in &plan.raw {
-                // relaxed-ok: advisory stop flag — a stale read only delays shutdown by one iteration
-                if stop.load(Ordering::Relaxed) {
+                ctx.counters.from_raw.fetch_add(1, Ordering::Release);
+                if !self.dispatch_raw_job(RawJob::plain(chunk, ctx), ctx) {
+                    // Abandoned mid-file: the layout stays unknown.
                     return Ok(());
                 }
-                self.feed_raw_chunk(
-                    meta,
-                    &text_tx,
-                    &out,
-                    &events,
-                    &counters,
-                    &stop,
-                    &in_pipeline,
-                    params,
-                )?;
+            }
+            self.db.catalog().mark_layout_complete(&self.table)?;
+            self.layout_known.store(true, Ordering::Release);
+        } else {
+            for meta in &plan.raw {
+                if !self.feed_raw_chunk(meta, ctx)? {
+                    return Ok(());
+                }
             }
         }
         Ok(())
     }
 
     /// Reads one raw chunk (by metadata) and dispatches it for conversion.
-    #[allow(clippy::too_many_arguments)]
-    fn feed_raw_chunk(
-        self: &Arc<Self>,
-        meta: &ChunkMeta,
-        text_tx: &Sender<RawJob>,
-        out: &Sender<Result<Arc<BinaryChunk>>>,
-        events: &Sender<Event>,
-        counters: &Arc<ScanCounters>,
-        stop: &Arc<AtomicBool>,
-        in_pipeline: &Arc<AtomicUsize>,
-        params: &Arc<ScanParams>,
-    ) -> Result<()> {
+    /// Returns false when the scan is shutting down.
+    fn feed_raw_chunk(&self, meta: &ChunkMeta, ctx: &Arc<ScanCtx>) -> Result<bool> {
         let clock = self.db.disk().clock().clone();
         let _span = self.obs.trace.enter_current(
             "read.chunk",
@@ -1081,112 +968,71 @@ impl ScanRaw {
                 ("source", "raw".to_string()),
             ],
         );
-        let chunk = {
-            let t0 = clock.now();
-            let c = self.io_retry(&self.raw_file, || {
-                read_chunk_at(self.db.disk(), &self.raw_file, meta)
-            })?;
-            let t1 = clock.now();
-            self.profiler.record(Stage::Read, t1 - t0, t0, t1);
-            c
-        };
-        self.dispatch_raw_job(
-            RawJob::plain(chunk),
-            text_tx,
-            out,
-            events,
-            counters,
-            stop,
-            in_pipeline,
-            params,
-            true,
-        )?;
-        Ok(())
+        let t0 = clock.now();
+        let chunk = self.io_retry(&self.raw_file, || {
+            read_chunk_at(self.db.disk(), &self.raw_file, meta)
+        })?;
+        let t1 = clock.now();
+        self.profiler.record(Stage::Read, t1 - t0, t0, t1);
+        ctx.counters.from_raw.fetch_add(1, Ordering::Release);
+        Ok(self.dispatch_raw_job(RawJob::plain(chunk, ctx), ctx))
     }
 
     /// Hands a raw-chunk job to the conversion pipeline (or converts it
     /// inline when the pool is empty). Returns false when the scan is
     /// shutting down.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_raw_job(
-        self: &Arc<Self>,
-        job: RawJob,
-        text_tx: &Sender<RawJob>,
-        out: &Sender<Result<Arc<BinaryChunk>>>,
-        events: &Sender<Event>,
-        counters: &Arc<ScanCounters>,
-        stop: &Arc<AtomicBool>,
-        in_pipeline: &Arc<AtomicUsize>,
-        params: &Arc<ScanParams>,
-        count_raw: bool,
-    ) -> Result<bool> {
-        if count_raw {
-            counters.from_raw.fetch_add(1, Ordering::Release);
-        }
-        if params.workers == 0 {
+    fn dispatch_raw_job(&self, job: RawJob, ctx: &ScanCtx) -> bool {
+        if ctx.workers == 0 {
             // Sequential regime: the chunk passes through the conversion
             // stages one at a time in the READ thread (paper §5.1,
             // "zero worker threads correspond to sequential execution").
-            let converted = self.convert_job(&job, params);
-            return match converted {
-                Ok((bin, filtered)) => Ok(self.deliver(Arc::new(bin), filtered, out, events, stop)),
+            return match self.convert_job(&job) {
+                Ok((bin, filtered)) => self.deliver(Arc::new(bin), filtered, ctx),
                 Err(e) => {
-                    let _ = out.send(Err(e));
-                    Ok(true)
+                    let _ = ctx.out.send(Err(e));
+                    true
                 }
             };
         }
-        in_pipeline.fetch_add(1, Ordering::AcqRel);
-        let mut pending = job;
-        loop {
-            // relaxed-ok: advisory stop flag — a stale read only delays shutdown by one iteration
-            if stop.load(Ordering::Relaxed) {
-                in_pipeline.fetch_sub(1, Ordering::AcqRel);
-                return Ok(false);
-            }
-            match text_tx.send_timeout(pending, Duration::from_millis(1)) {
-                Ok(()) => return Ok(true),
-                Err(crossbeam::channel::SendTimeoutError::Timeout(c)) => {
-                    pending = c;
-                    // The text chunks buffer is full: READ is blocked, the
-                    // disk is idle — the speculative-loading window (§4).
-                    // Journaled here (not in the scheduler) because only the
-                    // READ side knows which chunk is waiting.
-                    self.obs.event(ObsEvent::ReadBlocked {
-                        chunk: pending.text.id.0 as u64,
-                    });
-                    let _ = events.send(Event::ReadBlocked);
-                }
-                Err(crossbeam::channel::SendTimeoutError::Disconnected(_)) => {
-                    in_pipeline.fetch_sub(1, Ordering::AcqRel);
-                    return Ok(false);
-                }
+        match ctx.queue.try_push_text(job) {
+            Ok(()) => true,
+            Err(TextPushError::Closed(_)) => false,
+            Err(TextPushError::Full(job)) => {
+                // The text lane is full: READ is blocked and the disk is
+                // idle — the speculative-loading window (§4) — until the
+                // push gets through. Journaled here (not in the scheduler)
+                // because only the READ side knows which chunk is waiting.
+                self.obs.event(ObsEvent::ReadBlocked {
+                    chunk: job.text.id.0 as u64,
+                });
+                let _ = ctx.events.send(Event::ReadBlocked);
+                let pushed = ctx.queue.push_text(job).is_ok();
+                let _ = ctx.events.send(Event::ReadResumed);
+                pushed
             }
         }
     }
 
     /// [`ScanRaw::load_from_db`] under the configured device-retry budget.
-    fn retry_load_from_db(&self, meta: &ChunkMeta, cols: &[usize]) -> Result<BinaryChunk> {
+    fn retry_load_from_db(&self, meta: &ChunkMeta, needed: &[usize]) -> Result<BinaryChunk> {
         self.io_retry(&format!("db/{}", self.table), || {
-            self.load_from_db(meta, cols)
+            self.load_from_db(meta, needed)
         })
     }
 
-    fn load_from_db(&self, meta: &ChunkMeta, cols: &[usize]) -> Result<BinaryChunk> {
-        // Load the catalog-backed columns; at minimum the needed ones are
-        // there (planning checked), and loading everything available keeps
-        // the cache useful for wider future queries.
-        let available = self.db.loaded_columns(
-            &self.table,
-            meta.id,
-            &(0..self.schema.len()).collect::<Vec<_>>(),
-        )?;
-        let cols: Vec<usize> = if available.is_empty() {
-            cols.to_vec()
-        } else {
-            available
-        };
-        self.db.load_chunk(&self.table, meta.id, &cols)
+    /// Loads every column of the chunk the catalog has — which keeps the
+    /// cache useful for wider future queries — provided `needed` is among
+    /// them.
+    fn load_from_db(&self, meta: &ChunkMeta, needed: &[usize]) -> Result<BinaryChunk> {
+        let all: Vec<usize> = (0..self.schema.len()).collect();
+        let available = self.db.loaded_columns(&self.table, meta.id, &all)?;
+        if !needed.iter().all(|c| available.contains(c)) {
+            return Err(Error::storage(format!(
+                "{} of '{}' lacks requested columns in the database",
+                meta.id, self.table
+            )));
+        }
+        self.db.load_chunk(&self.table, meta.id, &available)
     }
 
     // ----------------------------------------------------------------------
@@ -1231,16 +1077,11 @@ impl ScanRaw {
     /// Runs PARSE(+MAP) for one tokenized raw job, honoring push-down
     /// selection and hybrid column merging. Returns the chunk and whether it
     /// was row-filtered.
-    fn parse_job(
-        &self,
-        job: &RawJob,
-        map: &PositionalMap,
-        params: &ScanParams,
-    ) -> Result<(BinaryChunk, bool)> {
+    fn parse_job(&self, job: &RawJob, map: &PositionalMap) -> Result<(BinaryChunk, bool)> {
         let chunk = &job.text;
         let convert_cols: &[usize] = match &job.convert_cols {
             Some(c) => c,
-            None => &params.convert_cols,
+            None => &job.ctx.convert_cols,
         };
         let _span = self.obs.trace.enter_current(
             "parse.chunk",
@@ -1253,7 +1094,7 @@ impl ScanRaw {
         let t0 = clock.now();
         // effect-ok: CPU-time stat for the profiler side channel, never in scan output
         let w0 = std::time::Instant::now();
-        let (mut bin, filtered) = match &params.pushdown {
+        let (mut bin, filtered) = match &job.ctx.pushdown {
             Some(pd) => {
                 let filter = RowFilter {
                     columns: &pd.columns,
@@ -1309,10 +1150,10 @@ impl ScanRaw {
     }
 
     /// Full conversion of one raw job (sequential regime).
-    fn convert_job(&self, job: &RawJob, params: &ScanParams) -> Result<(BinaryChunk, bool)> {
-        let cols_mapped = job.cols_mapped.unwrap_or(params.cols_mapped);
+    fn convert_job(&self, job: &RawJob) -> Result<(BinaryChunk, bool)> {
+        let cols_mapped = job.cols_mapped.unwrap_or(job.ctx.cols_mapped);
         let map = self.tokenize(&job.text, cols_mapped)?;
-        self.parse_job(job, &map, params)
+        self.parse_job(job, &map)
     }
 
     /// Records conversion-time statistics into the catalog (§3.3).
@@ -1331,17 +1172,8 @@ impl ScanRaw {
     /// push-down selection, also caches it and raises the scheduler events
     /// (filtered chunks must never be cached or loaded — §2 WRITE).
     /// Returns false when the consumer is gone.
-    fn deliver(
-        &self,
-        bin: Arc<BinaryChunk>,
-        filtered: bool,
-        out: &Sender<Result<Arc<BinaryChunk>>>,
-        events: &Sender<Event>,
-        stop: &Arc<AtomicBool>,
-    ) -> bool {
-        if out.send(Ok(bin.clone())).is_err() {
-            // relaxed-ok: advisory stop flag — readers need eventual visibility only
-            stop.store(true, Ordering::Relaxed);
+    fn deliver(&self, bin: Arc<BinaryChunk>, filtered: bool, ctx: &ScanCtx) -> bool {
+        if !ctx.send(bin.clone()) {
             return false;
         }
         if filtered {
@@ -1353,9 +1185,9 @@ impl ScanRaw {
             .loaded_columns(&self.table, bin.id, &present)
             .unwrap_or_default();
         let evicted = self.cache.insert(bin.clone(), &loaded);
-        let _ = events.send(Event::Converted(bin));
+        let _ = ctx.events.send(Event::Converted(bin));
         if let Some(ev) = evicted {
-            let _ = events.send(Event::Evicted(ev));
+            let _ = ctx.events.send(Event::Evicted(ev));
         }
         true
     }
@@ -1364,132 +1196,36 @@ impl ScanRaw {
     // Worker loop (dynamic TOKENIZE / PARSE / EXEC assignment)
     // ----------------------------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn worker_loop(
-        self: &Arc<Self>,
-        w: usize,
-        text_rx: Receiver<RawJob>,
-        pos_rx: Receiver<TokenizedChunk>,
-        pos_tx: Sender<TokenizedChunk>,
-        out: Sender<Result<Arc<BinaryChunk>>>,
-        events: Sender<Event>,
-        exec_rx: Receiver<ExecTask>,
-        _counters: Arc<ScanCounters>,
-        stop: Arc<AtomicBool>,
-        in_pipeline: Arc<AtomicUsize>,
-        params: &Arc<ScanParams>,
-    ) {
+    /// One pool worker: serves the scan's queue until it is closed. EXEC
+    /// tasks come first, so chunk-parallel queries overlap aggregation with
+    /// the conversion of later chunks, and keep being served after the last
+    /// chunk is delivered.
+    fn worker_loop(&self, w: usize, queue: &ScanQueue, trace: Option<SpanCtx>) {
         // Pin the scan span: tokenize/parse spans (and the retry/disk spans
         // they trigger) attach under it. Engine EXEC tasks carry their own
         // explicit context and override this for their duration.
-        let _ambient = params.trace.map(trace::set_current);
-        // Per-worker stage histograms: wall time the worker spent in each
-        // stage *including* hand-off back-pressure, so pool imbalance is
-        // visible even when the pure per-chunk compute times are uniform.
-        let hists = WorkerHists {
-            tokenize: self
-                .obs
+        let _ambient = trace.map(trace::set_current);
+        let hist = |stage: &str| {
+            self.obs
                 .metrics
-                .duration_histogram(&format!("pipeline.worker.{w}.tokenize.nanos")),
-            parse: self
-                .obs
-                .metrics
-                .duration_histogram(&format!("pipeline.worker.{w}.parse.nanos")),
-            exec: self
-                .obs
-                .metrics
-                .duration_histogram(&format!("pipeline.worker.{w}.exec.nanos")),
+                .duration_histogram(&format!("pipeline.worker.{w}.{stage}.nanos"))
         };
-        // Phase 1 — conversion: dynamic TOKENIZE/PARSE assignment, with
-        // consumer EXEC tasks served first so chunk-parallel queries overlap
-        // aggregation with conversion of later chunks.
-        loop {
-            // relaxed-ok: advisory stop flag — a stale read only delays shutdown by one iteration
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            // Prefer EXEC (downstream-most), then PARSE, then TOKENIZE —
-            // the draining heuristic that guarantees progress (§3.2.1)
-            // extended one stage downstream.
-            match exec_rx.try_recv() {
-                Ok(task) => {
-                    self.run_exec(task, &hists.exec);
-                    continue;
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => {}
-            }
-            match pos_rx.try_recv() {
-                Ok(job) => {
-                    // effect-ok: CPU-time stat for the stage histograms, never in scan output
-                    let t = std::time::Instant::now();
-                    self.do_parse(job, &out, &events, &stop, &in_pipeline, params);
-                    hists.parse.observe_duration(t.elapsed());
-                    continue;
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => {}
-            }
-            match text_rx.try_recv() {
-                Ok(job) => {
-                    // effect-ok: CPU-time stat for the stage histograms, never in scan output
-                    let t = std::time::Instant::now();
-                    self.do_tokenize(job, &pos_tx, &out, &stop, &in_pipeline, params);
-                    hists.tokenize.observe_duration(t.elapsed());
-                    continue;
-                }
-                Err(TryRecvError::Empty) => {
-                    // Nothing ready: block briefly on the position buffer
-                    // (the only conversion channel guaranteed to stay
-                    // connected).
-                    match pos_rx.recv_timeout(Duration::from_micros(200)) {
-                        Ok(job) => {
-                            // effect-ok: CPU-time stat for the stage histograms, never in scan output
-                            let t = std::time::Instant::now();
-                            self.do_parse(job, &out, &events, &stop, &in_pipeline, params);
-                            hists.parse.observe_duration(t.elapsed());
-                        }
-                        Err(RecvTimeoutError::Timeout) => {}
-                        Err(RecvTimeoutError::Disconnected) => break,
+        let hists = WorkerHists {
+            tokenize: hist("tokenize"),
+            parse: hist("parse"),
+            exec: hist("exec"),
+        };
+        while let Some(work) = queue.pop() {
+            match work {
+                Work::Exec(task) => self.run_exec(task, &hists.exec),
+                Work::Parse(job) => timed(&hists.parse, || self.do_parse(job)),
+                Work::Tokenize(job) => {
+                    // A full position lane hands the chunk back: parse it
+                    // here rather than wait for room.
+                    if let Some(job) = timed(&hists.tokenize, || self.do_tokenize(job, queue)) {
+                        timed(&hists.parse, || self.do_parse(job));
                     }
                 }
-                Err(TryRecvError::Disconnected) => {
-                    // READ is done; drain the position buffer until the
-                    // pipeline is empty.
-                    match pos_rx.recv_timeout(Duration::from_micros(200)) {
-                        Ok(job) => {
-                            // effect-ok: CPU-time stat for the stage histograms, never in scan output
-                            let t = std::time::Instant::now();
-                            self.do_parse(job, &out, &events, &stop, &in_pipeline, params);
-                            hists.parse.observe_duration(t.elapsed());
-                        }
-                        Err(RecvTimeoutError::Timeout) => {
-                            if in_pipeline.load(Ordering::Acquire) == 0 {
-                                break;
-                            }
-                        }
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-            }
-        }
-        // Phase 2 — conversion is complete. Drop the conversion-side senders
-        // first: the engine's chunk loop ends exactly when every worker has
-        // released its `out` clone, so parking here must not hold it. Then
-        // keep serving EXEC tasks until every submitter (engine handles and
-        // the stream's own sender) is gone.
-        drop(pos_tx);
-        drop(pos_rx);
-        drop(text_rx);
-        drop(out);
-        drop(events);
-        loop {
-            // relaxed-ok: advisory stop flag — a stale read only delays shutdown by one iteration
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            match exec_rx.recv_timeout(Duration::from_micros(200)) {
-                Ok(task) => self.run_exec(task, &hists.exec),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
             }
         }
     }
@@ -1508,61 +1244,29 @@ impl ScanRaw {
         hist.observe_duration(elapsed);
     }
 
-    fn do_tokenize(
-        &self,
-        raw: RawJob,
-        pos_tx: &Sender<TokenizedChunk>,
-        out: &Sender<Result<Arc<BinaryChunk>>>,
-        stop: &Arc<AtomicBool>,
-        in_pipeline: &Arc<AtomicUsize>,
-        params: &ScanParams,
-    ) {
-        let cols_mapped = raw.cols_mapped.unwrap_or(params.cols_mapped);
-        let map = self.tokenize(&raw.text, cols_mapped);
-        match map {
-            Ok(map) => {
-                let mut job = TokenizedChunk { job: raw, map };
-                loop {
-                    // relaxed-ok: advisory stop flag — a stale read only delays shutdown by one iteration
-                    if stop.load(Ordering::Relaxed) {
-                        in_pipeline.fetch_sub(1, Ordering::AcqRel);
-                        return;
-                    }
-                    match pos_tx.send_timeout(job, Duration::from_millis(1)) {
-                        Ok(()) => return,
-                        Err(crossbeam::channel::SendTimeoutError::Timeout(j)) => job = j,
-                        Err(crossbeam::channel::SendTimeoutError::Disconnected(_)) => {
-                            in_pipeline.fetch_sub(1, Ordering::AcqRel);
-                            return;
-                        }
-                    }
-                }
-            }
+    /// TOKENIZE of one raw chunk, queued for PARSE afterwards. Returns the
+    /// tokenized chunk when the position lane did not take it.
+    fn do_tokenize(&self, raw: RawJob, queue: &ScanQueue) -> Option<TokenizedChunk> {
+        let cols_mapped = raw.cols_mapped.unwrap_or(raw.ctx.cols_mapped);
+        match self.tokenize(&raw.text, cols_mapped) {
+            Ok(map) => queue.push_parse(TokenizedChunk { job: raw, map }).err(),
             Err(e) => {
-                let _ = out.send(Err(e));
-                in_pipeline.fetch_sub(1, Ordering::AcqRel);
+                let _ = raw.ctx.out.send(Err(e));
+                None
             }
         }
     }
 
-    fn do_parse(
-        &self,
-        job: TokenizedChunk,
-        out: &Sender<Result<Arc<BinaryChunk>>>,
-        events: &Sender<Event>,
-        stop: &Arc<AtomicBool>,
-        in_pipeline: &Arc<AtomicUsize>,
-        params: &ScanParams,
-    ) {
-        match self.parse_job(&job.job, &job.map, params) {
+    fn do_parse(&self, job: TokenizedChunk) {
+        let ctx = &job.job.ctx;
+        match self.parse_job(&job.job, &job.map) {
             Ok((bin, filtered)) => {
-                self.deliver(Arc::new(bin), filtered, out, events, stop);
+                self.deliver(Arc::new(bin), filtered, ctx);
             }
             Err(e) => {
-                let _ = out.send(Err(e));
+                let _ = ctx.out.send(Err(e));
             }
         }
-        in_pipeline.fetch_sub(1, Ordering::AcqRel);
     }
 }
 

@@ -8,6 +8,7 @@
 //!
 //! [`finish`]: ChunkStream::finish
 
+use crate::operator::ScanQueue;
 use crate::scheduler::{Event, SchedulerReport};
 use crossbeam::channel::{Receiver, Sender};
 use scanraw_obs::{Obs, ObsEvent, SpanCtx};
@@ -23,27 +24,23 @@ use std::time::Duration;
 pub type ExecTask = Box<dyn FnOnce() + Send + 'static>;
 
 /// Engine-facing handle for submitting [`ExecTask`]s to the scan's worker
-/// pool. Cloneable; the pool keeps serving tasks until every handle (and the
-/// stream itself) has been dropped.
+/// pool. Cloneable; the pool serves tasks until the stream is finished or
+/// dropped, and runs every task accepted before that.
 #[derive(Clone)]
 pub struct ExecHandle {
-    tx: Sender<ExecTask>,
+    queue: Arc<ScanQueue>,
 }
 
 impl ExecHandle {
-    pub(crate) fn new(tx: Sender<ExecTask>) -> Self {
-        ExecHandle { tx }
-    }
-
     /// Submits a task to the worker pool. On failure (the pool has already
     /// shut down) the task is handed back so the caller can run it inline.
     ///
     /// # Errors
     ///
-    /// Returns `Err(task)` when every worker has exited; the task has not
+    /// Returns `Err(task)` when the scan's queue is closed; the task has not
     /// run and ownership returns to the caller.
     pub fn submit(&self, task: ExecTask) -> std::result::Result<(), ExecTask> {
-        self.tx.send(task).map_err(|e| e.0)
+        self.queue.push_exec(task)
     }
 }
 
@@ -109,10 +106,9 @@ pub(crate) struct ScanState {
     /// The scan's own span (child of the query root), ended when the stream
     /// finishes or is abandoned.
     pub scan_span: Option<SpanCtx>,
-    /// Keeps the consumer-execution channel alive for the scan's lifetime so
-    /// engine-held [`ExecHandle`] clones stay connected. Dropped before the
-    /// worker joins — workers only exit their EXEC phase on disconnect.
-    pub exec_tx: Option<Sender<ExecTask>>,
+    /// The scan's work queue. Closing it is what shuts the pipeline down:
+    /// READ stops feeding it and the workers leave their loop.
+    pub queue: Arc<ScanQueue>,
     /// Size of the worker pool (0 = sequential regime, no EXEC service).
     pub workers: usize,
 }
@@ -165,7 +161,10 @@ impl ChunkStream {
     /// conversion side is active and exclusively afterwards.
     pub fn exec_handle(&self) -> Option<ExecHandle> {
         let state = self.state.as_ref()?;
-        state.exec_tx.as_ref().map(|tx| ExecHandle::new(tx.clone()))
+        // The sequential regime has no pool: accepted work would be stranded.
+        (state.workers > 0).then(|| ExecHandle {
+            queue: state.queue.clone(),
+        })
     }
 
     /// Number of pool workers serving this scan (0 = sequential regime).
@@ -192,11 +191,9 @@ impl ChunkStream {
             // missing state must not abort the caller's thread.
             return Err(Error::Pipeline("scan state already torn down".into()));
         };
-        let mut state = state;
-        // Disconnect the consumer-execution channel before joining: workers
-        // park in their EXEC phase until every sender is gone, and this is
-        // the last one once the engine has dropped its handles.
-        state.exec_tx = None;
+        // Every chunk is delivered; workers run the EXEC tasks still queued
+        // and leave.
+        state.queue.close();
         let read_result = state
             .read_handle
             .join()
@@ -261,11 +258,11 @@ impl Iterator for ChunkStream {
 
 impl Drop for ChunkStream {
     fn drop(&mut self) {
-        // Abandoned stream: drop the receiver so producers unwind, then join
-        // them to avoid leaking threads mid-scan.
+        // Abandoned stream: drop the receiver and close the queue so the
+        // producers unwind, then join them to avoid leaking threads mid-scan.
         self.rx = None;
-        if let Some(mut state) = self.state.take() {
-            state.exec_tx = None;
+        if let Some(state) = self.state.take() {
+            state.queue.close();
             let _ = state.read_handle.join();
             for h in state.worker_handles {
                 let _ = h.join();

@@ -4,17 +4,23 @@
 use scanraw::{ConvertScope, ScanRaw, ScanRequest};
 use scanraw_rawfile::generate::{expected_column_sums, stage_csv, CsvSpec};
 use scanraw_rawfile::TextDialect;
-use scanraw_simio::SimDisk;
+use scanraw_simio::{Clock, DiskConfig, SimDisk, VirtualClock};
 use scanraw_storage::Database;
-use scanraw_types::{RangePredicate, ScanRawConfig, Schema, Value, WritePolicy};
-use std::sync::Arc;
+use scanraw_types::{
+    BinaryChunk, ChunkId, RangePredicate, ScanRawConfig, Schema, Value, WritePolicy,
+};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::time::Duration;
 
 const ROWS: u64 = 4000;
 const COLS: usize = 4;
 const CHUNK_ROWS: u32 = 500; // → 8 chunks
 
 fn setup(config: ScanRawConfig) -> (Arc<ScanRaw>, CsvSpec) {
-    let disk = SimDisk::instant();
+    setup_on(SimDisk::instant(), config)
+}
+
+fn setup_on(disk: SimDisk, config: ScanRawConfig) -> (Arc<ScanRaw>, CsvSpec) {
     let spec = CsvSpec::new(ROWS, COLS, 42);
     stage_csv(&disk, "data.csv", &spec);
     let db = Database::new(disk);
@@ -39,13 +45,17 @@ fn base_config(policy: WritePolicy, workers: usize) -> ScanRawConfig {
 
 /// Sums every projected column over a full scan and checks row counts.
 fn scan_and_sum(op: &Arc<ScanRaw>, req: ScanRequest) -> (Vec<i64>, u64, scanraw::ScanSummary) {
-    let cols = {
-        let mut c = req.projection.clone();
-        c.sort_unstable();
-        c.dedup();
-        c
-    };
-    let mut stream = op.scan(req).unwrap();
+    let mut cols = req.projection.clone();
+    cols.sort_unstable();
+    cols.dedup();
+    drain_and_sum(op.scan(req).unwrap(), &cols)
+}
+
+/// Consumes a stream, summing columns `cols` of every chunk.
+fn drain_and_sum(
+    mut stream: scanraw::ChunkStream,
+    cols: &[usize],
+) -> (Vec<i64>, u64, scanraw::ScanSummary) {
     let mut sums = vec![0i64; cols.len()];
     let mut rows = 0u64;
     while let Some(chunk) = stream.next_chunk() {
@@ -296,16 +306,221 @@ fn malformed_file_surfaces_parse_error() {
     assert!(matches!(err, scanraw_types::Error::Parse { .. }), "{err}");
 }
 
+/// Runs `f` on its own thread and fails the test — instead of stalling the
+/// whole run — when it hangs (or panics).
+fn with_watchdog<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .unwrap_or_else(|e| panic!("{what}: {e:?} — the pipeline hung or panicked"))
+}
+
+/// One-chunk text and position lanes and a two-chunk output buffer: every
+/// pipeline thread spends the scan blocked on a neighbour.
+fn tight_config(policy: WritePolicy, workers: usize) -> ScanRawConfig {
+    let mut cfg = base_config(policy, workers);
+    cfg.text_buffer_chunks = 1;
+    cfg.position_buffer_chunks = 1;
+    cfg.binary_cache_chunks = 2;
+    cfg
+}
+
 #[test]
 fn dropping_stream_mid_scan_does_not_hang() {
-    let (op, _) = setup(base_config(WritePolicy::speculative(), 2));
-    let mut stream = op.scan(ScanRequest::all_columns(vec![0, 1, 2, 3])).unwrap();
-    let _ = stream.next_chunk();
-    drop(stream); // must join all pipeline threads without deadlock
-                  // The operator remains usable afterwards.
-    let (sums, rows, _) = scan_and_sum(&op, ScanRequest::all_columns(vec![0, 1, 2, 3]));
+    for workers in [0, 1, 2, 4] {
+        // Drop after every chunk offset, 0 (nothing consumed) to 8 (all).
+        for consumed in 0..=8 {
+            let what = format!("workers={workers}, dropped after {consumed} chunks");
+            let (sums, rows, expected) = with_watchdog(&what, move || {
+                let (op, spec) = setup(tight_config(WritePolicy::speculative(), workers));
+                let mut stream = op.scan(ScanRequest::all_columns(vec![0, 1, 2, 3])).unwrap();
+                for _ in 0..consumed {
+                    stream.next_chunk().expect("8 chunks in the file");
+                }
+                drop(stream); // must join all pipeline threads without deadlock
+                              // The operator remains usable afterwards.
+                let (sums, rows, _) = scan_and_sum(&op, ScanRequest::all_columns(vec![0, 1, 2, 3]));
+                (sums, rows, expected_column_sums(&spec))
+            });
+            assert_eq!(rows, ROWS, "{what}");
+            assert_eq!(sums, expected, "{what}");
+        }
+    }
+}
+
+#[test]
+fn abandoning_scan_after_first_error_does_not_hang() {
+    // Ten-row chunks; the malformed row sits in the first one, so with at
+    // most one worker the error is the first thing the stream sees.
+    let mut text = String::from("1,2\n3,notanumber\n");
+    for r in 0..78 {
+        text.push_str(&format!("{r},{r}\n"));
+    }
+    for workers in [0, 1, 2] {
+        let text = text.clone();
+        let err = with_watchdog(&format!("workers={workers}"), move || {
+            let disk = SimDisk::instant();
+            disk.storage().put("bad.csv", text.into_bytes());
+            let mut cfg = tight_config(WritePolicy::speculative(), workers);
+            cfg.chunk_rows = 10;
+            let op = ScanRaw::create(
+                Database::new(disk),
+                "bad",
+                Schema::uniform_ints(2),
+                TextDialect::CSV,
+                "bad.csv",
+                cfg,
+            )
+            .unwrap();
+            let mut stream = op.scan(ScanRequest::all_columns(vec![0, 1])).unwrap();
+            // Swallows the error, hands out the next good chunk …
+            let chunk = stream.next_chunk().expect("good chunks follow the bad one");
+            assert_ne!(chunk.id, ChunkId(0), "chunk 0 does not convert");
+            // … and the scan is abandoned with seven chunks to go.
+            drop(stream);
+            // The operator still answers, with the error.
+            let stream = op.scan(ScanRequest::all_columns(vec![0, 1])).unwrap();
+            stream.finish().unwrap_err()
+        });
+        assert!(matches!(err, scanraw_types::Error::Parse { .. }), "{err}");
+    }
+}
+
+#[test]
+fn exec_tasks_submitted_after_the_last_chunk_all_run() {
+    for workers in [1, 2, 4] {
+        let ran = with_watchdog(&format!("workers={workers}"), move || {
+            let (op, _) = setup(tight_config(WritePolicy::ExternalTables, workers));
+            let mut stream = op.scan(ScanRequest::all_columns(vec![0, 1, 2, 3])).unwrap();
+            let handle = stream.exec_handle().expect("a pool serves this scan");
+            while stream.next_chunk().is_some() {}
+            // Conversion is over; the pool must still be serving EXEC.
+            let (tx, rx) = mpsc::channel();
+            for i in 0..64u32 {
+                let tx = tx.clone();
+                let task: scanraw::ExecTask = Box::new(move || tx.send(i).unwrap());
+                assert!(handle.submit(task).is_ok(), "task {i} refused");
+            }
+            drop(tx);
+            // Finishing runs whatever is still queued before the pool leaves.
+            stream.finish().unwrap();
+            assert!(
+                handle.submit(Box::new(|| {})).is_err(),
+                "a finished scan hands late tasks back"
+            );
+            let mut ran: Vec<u32> = rx.iter().collect();
+            ran.sort_unstable();
+            ran
+        });
+        assert_eq!(ran, (0..64).collect::<Vec<_>>(), "workers={workers}");
+    }
+    // The sequential regime has no pool to submit to.
+    let (op, _) = setup(base_config(WritePolicy::ExternalTables, 0));
+    let stream = op.scan(ScanRequest::all_columns(vec![0])).unwrap();
+    assert!(stream.exec_handle().is_none());
+    stream.finish().unwrap();
+}
+
+/// Chunk `id` of the test file with only column 1 present — what a database
+/// read of a single loaded column delivers.
+fn narrow_copy(op: &ScanRaw, id: u32) -> Arc<BinaryChunk> {
+    let wide = op.cache().peek(ChunkId(id)).expect("resident");
+    let mut narrow = BinaryChunk::empty(wide.id, wide.first_row, wide.rows, COLS);
+    narrow.columns[1] = wide.columns[1].clone();
+    Arc::new(narrow)
+}
+
+#[test]
+fn narrow_reinsert_does_not_shrink_a_cached_chunk() {
+    let (op, spec) = setup(base_config(WritePolicy::ExternalTables, 2));
+    scan_and_sum(&op, ScanRequest::all_columns(vec![0, 1, 2, 3]));
+    // A concurrent scan of column 1 re-delivers chunk 3 from the database.
+    op.cache().insert(narrow_copy(&op, 3), &[1]);
+    let (sums, rows, summary) = scan_and_sum(&op, ScanRequest::all_columns(vec![0, 1, 2, 3]));
     assert_eq!(rows, ROWS);
-    assert_eq!(sums.len(), 4);
+    assert_eq!(sums, expected_column_sums(&spec));
+    assert_eq!(
+        summary.from_cache, 8,
+        "chunk 3 kept its columns: {summary:?}"
+    );
+}
+
+/// Virtual clock that can hold READ threads at their next reading — a
+/// deterministic stand-in for "another scan ran between planning and READ".
+struct ReadGate {
+    clock: VirtualClock,
+    held: Mutex<bool>,
+    released: Condvar,
+}
+
+impl ReadGate {
+    fn hold(&self, held: bool) {
+        *self.held.lock().unwrap() = held;
+        self.released.notify_all();
+    }
+}
+
+impl Clock for ReadGate {
+    fn now(&self) -> Duration {
+        let on_read_thread = std::thread::current()
+            .name()
+            .is_some_and(|n| n.starts_with("scanraw-read-"));
+        if on_read_thread {
+            let mut held = self.held.lock().unwrap();
+            while *held {
+                held = self.released.wait(held).unwrap();
+            }
+        }
+        self.clock.now()
+    }
+
+    fn sleep(&self, d: Duration) {
+        self.clock.sleep(d);
+    }
+}
+
+#[test]
+fn cached_chunk_narrowed_after_planning_is_served_from_raw() {
+    let (sums, rows, summary, expected) = with_watchdog("narrowed cache", || {
+        let gate = Arc::new(ReadGate {
+            clock: VirtualClock::new(),
+            held: Mutex::new(false),
+            released: Condvar::new(),
+        });
+        let disk = SimDisk::new(DiskConfig::instant(), gate.clone());
+        let (op, spec) = setup_on(disk, base_config(WritePolicy::ExternalTables, 2));
+        scan_and_sum(&op, ScanRequest::all_columns(vec![0, 1, 2, 3]));
+
+        // Planned with all eight chunks cached wide; READ is held before it
+        // looks any of them up.
+        gate.hold(true);
+        let stream = op.scan(ScanRequest::all_columns(vec![0, 1, 2, 3])).unwrap();
+        // Meanwhile chunk 2 is evicted and comes back from a one-column
+        // scan, and chunk 5 is evicted for good.
+        let narrow = narrow_copy(&op, 2);
+        let keep: Vec<_> = [0, 1, 3, 4, 6, 7]
+            .iter()
+            .map(|&id| op.cache().peek(ChunkId(id)).unwrap())
+            .collect();
+        op.cache().clear();
+        for chunk in keep {
+            op.cache().insert(chunk, &[]);
+        }
+        op.cache().insert(narrow, &[]);
+        gate.hold(false);
+
+        let (sums, rows, summary) = drain_and_sum(stream, &[0, 1, 2, 3]);
+        (sums, rows, summary, expected_column_sums(&spec))
+    });
+    assert_eq!(rows, ROWS);
+    assert_eq!(sums, expected);
+    assert_eq!(
+        (summary.from_cache, summary.from_raw),
+        (6, 2),
+        "{summary:?}"
+    );
 }
 
 #[test]

@@ -1,36 +1,45 @@
 //! Deterministic schedule stress harness.
 //!
-//! The pipeline's two central shared structures — the crossbeam-shim channel
-//! and the [`ChunkCache`] — are driven through thousands of *seeded
-//! permutations* of operation interleavings (send/recv/drop/disconnect
-//! orders, insert/get/evict orders) and checked against straight-line
-//! reference models after every step. A failure prints its seed; re-running
-//! with that seed reproduces the exact schedule.
+//! The pipeline's three central shared structures — the crossbeam-shim
+//! channel, the [`ChunkCache`] and the per-scan work queue — are driven
+//! through thousands of *seeded permutations* of operation interleavings
+//! (send/recv/drop/disconnect orders, insert/get/evict orders, push/pop/close
+//! orders) and checked against straight-line reference models after every
+//! step. A failure prints its seed; re-running with that seed reproduces the
+//! exact schedule.
 //!
-//! Three layers:
+//! Four layers:
 //! 1. single-threaded channel permutations vs. a queue model (every result
 //!    and every intermediate length must match, including disconnection
 //!    semantics),
 //! 2. single-threaded cache permutations vs. an LRU model (victims, hit and
 //!    miss counters, speculative-loading order),
-//! 3. multi-threaded conservation runs (no chunk lost or duplicated across
-//!    real producer/consumer threads).
+//! 3. single-threaded work-queue permutations vs. a three-lane model (lane
+//!    priority, both capacities, the parse-lane hand-back, `close()`
+//!    discarding conversion jobs but still handing out accepted EXEC tasks),
+//! 4. multi-threaded conservation runs (no chunk lost or duplicated across
+//!    real producer/consumer threads, on the channel and on the queue).
 
-use crossbeam::channel::{self, Receiver, SendTimeoutError, Sender, TryRecvError};
+// The queue is crate-private; the harness compiles its source directly.
+#[path = "../src/queue.rs"]
+mod queue;
+
+use crossbeam::channel::{self, Receiver, Sender};
+use queue::{TextPushError, Work, WorkQueue};
 use scanraw::ChunkCache;
 use scanraw_types::{BinaryChunk, ChunkId};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Seed counts per layer; the harness promises ≥ 1000 distinct interleavings.
-const CHANNEL_SEEDS: u64 = 600;
+const CHANNEL_SEEDS: u64 = 400;
 const CACHE_SEEDS: u64 = 420;
+const QUEUE_SEEDS: u64 = 400;
 const MT_RUNS: u64 = 8;
 
 #[test]
 fn harness_covers_at_least_1000_interleavings() {
-    const { assert!(CHANNEL_SEEDS + CACHE_SEEDS + MT_RUNS >= 1000) }
+    const { assert!(CHANNEL_SEEDS + CACHE_SEEDS + QUEUE_SEEDS + 2 * MT_RUNS >= 1000) }
 }
 
 /// SplitMix64: tiny, seedable, and good enough to scramble schedules.
@@ -101,19 +110,23 @@ impl ChannelModel {
     }
 }
 
-fn real_send(tx: &Sender<u64>, v: u64) -> SendOutcome {
-    match tx.send_timeout(v, Duration::ZERO) {
-        Ok(()) => SendOutcome::Ok,
-        Err(SendTimeoutError::Timeout(_)) => SendOutcome::Full,
-        Err(SendTimeoutError::Disconnected(_)) => SendOutcome::Disconnected,
+/// The channel only has blocking operations, so a single-threaded schedule
+/// performs the real one exactly when the model says it returns at once
+/// (`Full` and `Empty` are the outcomes that would block).
+fn real_send(tx: &Sender<u64>, v: u64, want: &SendOutcome) -> SendOutcome {
+    match want {
+        SendOutcome::Full => SendOutcome::Full,
+        _ if tx.send(v).is_ok() => SendOutcome::Ok,
+        _ => SendOutcome::Disconnected,
     }
 }
 
-fn real_recv(rx: &Receiver<u64>) -> RecvOutcome {
-    match rx.try_recv() {
-        Ok(v) => RecvOutcome::Got(v),
-        Err(TryRecvError::Empty) => RecvOutcome::Empty,
-        Err(TryRecvError::Disconnected) => RecvOutcome::Disconnected,
+fn real_recv(rx: &Receiver<u64>, want: &RecvOutcome) -> RecvOutcome {
+    match want {
+        RecvOutcome::Empty => RecvOutcome::Empty,
+        _ => rx
+            .recv()
+            .map_or(RecvOutcome::Disconnected, RecvOutcome::Got),
     }
 }
 
@@ -140,18 +153,20 @@ fn channel_permutation(seed: u64) {
                 let i = rng.below(senders.len() as u64) as usize;
                 let v = next_val;
                 next_val += 1;
+                let want = model.send(v);
                 assert_eq!(
-                    real_send(&senders[i], v),
-                    model.send(v),
+                    real_send(&senders[i], v, &want),
+                    want,
                     "seed {seed} step {step}: send outcome diverged"
                 );
             }
             // Receive on a random live receiver.
             4..=7 if !receivers.is_empty() => {
                 let i = rng.below(receivers.len() as u64) as usize;
+                let want = model.recv();
                 assert_eq!(
-                    real_recv(&receivers[i]),
-                    model.recv(),
+                    real_recv(&receivers[i], &want),
+                    want,
                     "seed {seed} step {step}: recv outcome diverged"
                 );
             }
@@ -196,17 +211,11 @@ fn channel_permutation(seed: u64) {
     // order, then the disconnection state must match.
     if let Some(rx) = receivers.first() {
         while let Some(expect) = model.queue.pop_front() {
-            assert_eq!(
-                real_recv(rx),
-                RecvOutcome::Got(expect),
-                "seed {seed}: drain order diverged"
-            );
+            assert_eq!(rx.recv(), Ok(expect), "seed {seed}: drain order diverged");
         }
-        let tail = real_recv(rx);
+        assert!(rx.is_empty(), "seed {seed}");
         if senders.is_empty() {
-            assert_eq!(tail, RecvOutcome::Disconnected, "seed {seed}");
-        } else {
-            assert_eq!(tail, RecvOutcome::Empty, "seed {seed}");
+            assert!(rx.recv().is_err(), "seed {seed}: disconnect not observed");
         }
     }
 }
@@ -448,7 +457,196 @@ fn cache_schedule_permutations_match_model() {
 }
 
 // ---------------------------------------------------------------------------
-// Layer 3: multi-threaded conservation
+// Layer 3: work-queue permutations vs. three-lane model
+// ---------------------------------------------------------------------------
+
+type Queue = WorkQueue<u64, u64, u64>;
+
+/// Reference semantics of the scan's work queue.
+struct QueueModel {
+    exec: VecDeque<u64>,
+    parse: VecDeque<u64>,
+    text: VecDeque<u64>,
+    text_cap: usize,
+    parse_cap: usize,
+    closed: bool,
+}
+
+#[derive(Debug, PartialEq, Eq)]
+enum Popped {
+    Exec(u64),
+    Parse(u64),
+    Tokenize(u64),
+    /// Closed and drained.
+    Done,
+    /// Open and empty: the real `pop` would block.
+    WouldBlock,
+}
+
+#[derive(Debug, PartialEq, Eq)]
+enum TextPush {
+    Ok,
+    Full,
+    Closed,
+}
+
+impl QueueModel {
+    fn push_text(&mut self, v: u64) -> TextPush {
+        if self.closed {
+            TextPush::Closed
+        } else if self.text.len() >= self.text_cap {
+            TextPush::Full
+        } else {
+            self.text.push_back(v);
+            TextPush::Ok
+        }
+    }
+
+    /// False = handed back.
+    fn push_parse(&mut self, v: u64) -> bool {
+        let accepted = !self.closed && self.parse.len() < self.parse_cap;
+        if accepted {
+            self.parse.push_back(v);
+        }
+        accepted
+    }
+
+    fn push_exec(&mut self, v: u64) -> bool {
+        if !self.closed {
+            self.exec.push_back(v);
+        }
+        !self.closed
+    }
+
+    fn pop(&mut self) -> Popped {
+        if let Some(v) = self.exec.pop_front() {
+            Popped::Exec(v)
+        } else if let Some(v) = self.parse.pop_front() {
+            Popped::Parse(v)
+        } else if let Some(v) = self.text.pop_front() {
+            Popped::Tokenize(v)
+        } else if self.closed {
+            Popped::Done
+        } else {
+            Popped::WouldBlock
+        }
+    }
+
+    fn close(&mut self) {
+        self.closed = true;
+        self.parse.clear();
+        self.text.clear();
+    }
+}
+
+fn real_pop(q: &Queue) -> Popped {
+    match q.pop() {
+        Some(Work::Exec(v)) => Popped::Exec(v),
+        Some(Work::Parse(v)) => Popped::Parse(v),
+        Some(Work::Tokenize(v)) => Popped::Tokenize(v),
+        None => Popped::Done,
+    }
+}
+
+fn queue_permutation(seed: u64) {
+    let mut rng = Rng::new(seed ^ 0x0051_e0e5);
+    let text_cap = 1 + rng.below(3) as usize;
+    let parse_cap = 1 + rng.below(3) as usize;
+    let q = Queue::new(text_cap, parse_cap);
+    let mut model = QueueModel {
+        exec: VecDeque::new(),
+        parse: VecDeque::new(),
+        text: VecDeque::new(),
+        text_cap,
+        parse_cap,
+        closed: false,
+    };
+
+    for step in 0..60 {
+        let v = step as u64;
+        match rng.below(16) {
+            0..=3 => {
+                let want = model.push_text(v);
+                let real = match q.try_push_text(v) {
+                    Ok(()) => TextPush::Ok,
+                    Err(TextPushError::Full(back)) => {
+                        assert_eq!(back, v, "seed {seed} step {step}: wrong job handed back");
+                        TextPush::Full
+                    }
+                    Err(TextPushError::Closed(back)) => {
+                        assert_eq!(back, v, "seed {seed} step {step}: wrong job handed back");
+                        TextPush::Closed
+                    }
+                };
+                assert_eq!(
+                    real, want,
+                    "seed {seed} step {step}: try_push_text diverged"
+                );
+            }
+            // The blocking push, whenever the model says it returns at once.
+            4 if model.closed || model.text.len() < text_cap => {
+                let want = model.push_text(v);
+                let real = match q.push_text(v) {
+                    Ok(()) => TextPush::Ok,
+                    Err(_) => TextPush::Closed,
+                };
+                assert_eq!(real, want, "seed {seed} step {step}: push_text diverged");
+            }
+            5..=7 => {
+                let want = model.push_parse(v);
+                let real = match q.push_parse(v) {
+                    Ok(()) => true,
+                    Err(back) => {
+                        assert_eq!(back, v, "seed {seed} step {step}: wrong job handed back");
+                        false
+                    }
+                };
+                assert_eq!(real, want, "seed {seed} step {step}: push_parse diverged");
+            }
+            8..=9 => {
+                assert_eq!(
+                    q.push_exec(v).is_ok(),
+                    model.push_exec(v),
+                    "seed {seed} step {step}: push_exec diverged"
+                );
+            }
+            10..=14 => {
+                let want = model.pop();
+                if want != Popped::WouldBlock {
+                    assert_eq!(real_pop(&q), want, "seed {seed} step {step}: pop diverged");
+                }
+            }
+            15 => {
+                q.close();
+                model.close();
+            }
+            _ => {}
+        }
+    }
+
+    // Close and drain: exactly the EXEC tasks accepted before the close come
+    // out, in order, then `None` — forever.
+    q.close();
+    model.close();
+    loop {
+        let want = model.pop();
+        assert_eq!(real_pop(&q), want, "seed {seed}: drain diverged");
+        if want == Popped::Done {
+            break;
+        }
+    }
+    assert_eq!(real_pop(&q), Popped::Done, "seed {seed}: close is sticky");
+}
+
+#[test]
+fn queue_schedule_permutations_match_model() {
+    for seed in 0..QUEUE_SEEDS {
+        queue_permutation(seed);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Layer 4: multi-threaded conservation
 // ---------------------------------------------------------------------------
 
 /// Real threads, seeded per-thread schedules: every value sent is received
@@ -520,5 +718,96 @@ fn multithreaded_conservation_across_seeds() {
         let producers = 1 + (seed as usize % 3);
         let consumers = 1 + (seed as usize % 2);
         conservation_run(seed, producers, consumers);
+    }
+}
+
+/// The scan's thread shape on the real queue: one READ-like producer blocking
+/// in `push_text`, a pool running the worker loop (tokenize → queue for parse,
+/// or parse inline on hand-back), and an engine-like thread submitting EXEC
+/// tasks throughout. Every text job is parsed exactly once, every accepted
+/// EXEC task runs exactly once — including those still queued at `close()` —
+/// and every thread comes home.
+fn queue_conservation_run(seed: u64, workers: usize) {
+    const JOBS: u64 = 400;
+    const TASKS: u64 = 200;
+    let mut rng = Rng::new(seed ^ 0x51ab);
+    let q = Arc::new(Queue::new(
+        1 + rng.below(3) as usize,
+        1 + rng.below(3) as usize,
+    ));
+    let (parsed_tx, parsed_rx) = std::sync::mpsc::channel::<u64>();
+    let (ran_tx, ran_rx) = std::sync::mpsc::channel::<u64>();
+
+    let pool: Vec<_> = (0..workers)
+        .map(|w| {
+            let q = q.clone();
+            let parsed = parsed_tx.clone();
+            let ran = ran_tx.clone();
+            std::thread::spawn(move || {
+                let mut rng = Rng::new(seed * 131 + w as u64);
+                while let Some(work) = q.pop() {
+                    match work {
+                        Work::Exec(v) => ran.send(v).expect("main alive"),
+                        Work::Parse(v) => parsed.send(v).expect("main alive"),
+                        Work::Tokenize(v) => {
+                            if let Err(v) = q.push_parse(v) {
+                                parsed.send(v).expect("main alive");
+                            }
+                        }
+                    }
+                    if rng.below(8) == 0 {
+                        std::thread::yield_now();
+                    }
+                }
+            })
+        })
+        .collect();
+    drop((parsed_tx, ran_tx));
+
+    let reader = {
+        let q = q.clone();
+        std::thread::spawn(move || {
+            for v in 0..JOBS {
+                if let Err(TextPushError::Full(v)) = q.try_push_text(v) {
+                    q.push_text(v).expect("open until every job is parsed");
+                }
+            }
+        })
+    };
+    let engine = {
+        let q = q.clone();
+        std::thread::spawn(move || {
+            // Submits until the close; returns how many tasks were accepted.
+            (0..TASKS).take_while(|&v| q.push_exec(v).is_ok()).count() as u64
+        })
+    };
+
+    let mut parsed: Vec<u64> = parsed_rx.iter().take(JOBS as usize).collect();
+    reader.join().expect("reader");
+    // Every chunk is through: shut down with EXEC tasks possibly still queued.
+    q.close();
+    let accepted = engine.join().expect("engine");
+    for h in pool {
+        h.join().expect("worker");
+    }
+    parsed.sort_unstable();
+    assert_eq!(
+        parsed,
+        (0..JOBS).collect::<Vec<_>>(),
+        "seed {seed}: jobs lost or duplicated"
+    );
+    let mut ran: Vec<u64> = ran_rx.iter().collect();
+    ran.sort_unstable();
+    assert_eq!(
+        ran,
+        (0..accepted).collect::<Vec<_>>(),
+        "seed {seed}: accepted EXEC tasks lost or duplicated"
+    );
+}
+
+#[test]
+fn queue_multithreaded_conservation_across_seeds() {
+    for seed in 0..MT_RUNS {
+        queue_conservation_run(seed, 1 + (seed as usize % 4));
     }
 }

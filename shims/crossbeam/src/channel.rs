@@ -3,7 +3,6 @@
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
 
 /// Sending on a disconnected channel (all receivers dropped).
 pub struct SendError<T>(pub T);
@@ -20,41 +19,9 @@ impl<T> fmt::Display for SendError<T> {
     }
 }
 
-/// Outcome of a timed send.
-pub enum SendTimeoutError<T> {
-    /// The channel stayed full for the whole timeout; the message is
-    /// returned.
-    Timeout(T),
-    /// All receivers are gone; the message is returned.
-    Disconnected(T),
-}
-
-impl<T> fmt::Debug for SendTimeoutError<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SendTimeoutError::Timeout(_) => f.write_str("Timeout(..)"),
-            SendTimeoutError::Disconnected(_) => f.write_str("Disconnected(..)"),
-        }
-    }
-}
-
 /// Receiving from an empty, disconnected channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecvError;
-
-/// Outcome of a non-blocking receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryRecvError {
-    Empty,
-    Disconnected,
-}
-
-/// Outcome of a timed receive.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecvTimeoutError {
-    Timeout,
-    Disconnected,
-}
 
 struct State<T> {
     queue: VecDeque<T>,
@@ -138,33 +105,6 @@ impl<T> Sender<T> {
             state = self.shared.not_full.wait(state).expect("channel lock");
         }
     }
-
-    /// Blocks for at most `timeout`, returning the message on failure.
-    pub fn send_timeout(&self, msg: T, timeout: Duration) -> Result<(), SendTimeoutError<T>> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().expect("channel lock");
-        loop {
-            if state.receivers == 0 {
-                return Err(SendTimeoutError::Disconnected(msg));
-            }
-            let full = state.capacity.is_some_and(|cap| state.queue.len() >= cap);
-            if !full {
-                state.queue.push_back(msg);
-                self.shared.not_empty.notify_one();
-                return Ok(());
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(SendTimeoutError::Timeout(msg));
-            }
-            let (guard, _timed_out) = self
-                .shared
-                .not_full
-                .wait_timeout(state, deadline - now)
-                .expect("channel lock");
-            state = guard;
-        }
-    }
 }
 
 impl<T> Clone for Sender<T> {
@@ -202,45 +142,6 @@ impl<T> Receiver<T> {
                 return Err(RecvError);
             }
             state = self.shared.not_empty.wait(state).expect("channel lock");
-        }
-    }
-
-    /// Non-blocking receive.
-    pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = self.shared.state.lock().expect("channel lock");
-        if let Some(msg) = state.queue.pop_front() {
-            self.shared.not_full.notify_one();
-            return Ok(msg);
-        }
-        if state.senders == 0 {
-            Err(TryRecvError::Disconnected)
-        } else {
-            Err(TryRecvError::Empty)
-        }
-    }
-
-    /// Blocks for at most `timeout`.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock().expect("channel lock");
-        loop {
-            if let Some(msg) = state.queue.pop_front() {
-                self.shared.not_full.notify_one();
-                return Ok(msg);
-            }
-            if state.senders == 0 {
-                return Err(RecvTimeoutError::Disconnected);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(RecvTimeoutError::Timeout);
-            }
-            let (guard, _timed_out) = self
-                .shared
-                .not_empty
-                .wait_timeout(state, deadline - now)
-                .expect("channel lock");
-            state = guard;
         }
     }
 
@@ -287,7 +188,7 @@ mod tests {
         tx.send(2).unwrap();
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert!(rx.is_empty());
     }
 
     #[test]
@@ -298,7 +199,6 @@ mod tests {
         // Queued messages survive sender disconnection.
         assert_eq!(rx.recv(), Ok(7));
         assert_eq!(rx.recv(), Err(RecvError));
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
     }
 
     #[test]
@@ -309,25 +209,38 @@ mod tests {
     }
 
     #[test]
-    fn bounded_backpressure_and_timeout() {
+    fn bounded_send_blocks_until_space_frees() {
         let (tx, rx) = bounded(1);
         tx.send(1).unwrap();
-        match tx.send_timeout(2, Duration::from_millis(5)) {
-            Err(SendTimeoutError::Timeout(2)) => {}
-            other => panic!("expected timeout, got {other:?}"),
-        }
+        let (done_tx, done_rx) = unbounded();
+        let sender = thread::spawn(move || {
+            tx.send(2).unwrap();
+            done_tx.send(()).unwrap();
+        });
+        // The second send cannot complete while the slot is taken …
+        assert_eq!(rx.len(), 1);
         assert_eq!(rx.recv(), Ok(1));
-        tx.send_timeout(2, Duration::from_millis(5)).unwrap();
+        // … and completes once the consumer frees it.
+        done_rx.recv().unwrap();
         assert_eq!(rx.recv(), Ok(2));
+        sender.join().unwrap();
     }
 
     #[test]
-    fn recv_timeout_expires() {
-        let (_tx, rx) = unbounded::<u8>();
-        assert_eq!(
-            rx.recv_timeout(Duration::from_millis(5)),
-            Err(RecvTimeoutError::Timeout)
-        );
+    fn blocked_send_sees_disconnect() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let sender = thread::spawn(move || tx.send(2));
+        drop(rx);
+        assert!(sender.join().unwrap().is_err(), "woken by the disconnect");
+    }
+
+    #[test]
+    fn blocked_recv_sees_disconnect() {
+        let (tx, rx) = unbounded::<u8>();
+        let receiver = thread::spawn(move || rx.recv());
+        drop(tx);
+        assert_eq!(receiver.join().unwrap(), Err(RecvError));
     }
 
     #[test]
@@ -379,71 +292,15 @@ mod tests {
         }
         drop(tx);
         // Both receiver clones keep draining the surviving queue, and both
-        // observe Disconnected (not a hang) once it is empty.
+        // observe the disconnect (not a hang) once it is empty.
         let mut got = Vec::new();
-        loop {
-            match rx.try_recv() {
-                Ok(v) => got.push(v),
-                Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => unreachable!("senders are gone"),
-            }
-            match rx2.try_recv() {
-                Ok(v) => got.push(v),
-                Err(TryRecvError::Disconnected) => break,
-                Err(TryRecvError::Empty) => unreachable!("senders are gone"),
-            }
+        for _ in 0..3 {
+            got.push(rx.recv().unwrap());
+            got.push(rx2.recv().unwrap());
         }
         assert_eq!(got, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(rx.recv(), Err(RecvError));
         assert_eq!(rx2.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn send_timeout_unblocks_when_space_frees() {
-        let (tx, rx) = bounded(1);
-        tx.send(1).unwrap();
-        let sender = thread::spawn(move || {
-            // Generous deadline: succeeds long before it, because the
-            // consumer below frees the slot.
-            tx.send_timeout(2, Duration::from_secs(5))
-        });
-        assert_eq!(rx.recv(), Ok(1));
-        sender
-            .join()
-            .unwrap()
-            .expect("send completes once space frees");
-        assert_eq!(rx.recv(), Ok(2));
-    }
-
-    #[test]
-    fn send_timeout_deadline_is_respected_under_sustained_fullness() {
-        let (tx, _rx) = bounded(1);
-        tx.send(1).unwrap();
-        let t0 = std::time::Instant::now();
-        let deadline = Duration::from_millis(30);
-        match tx.send_timeout(2, deadline) {
-            Err(SendTimeoutError::Timeout(2)) => {}
-            other => panic!("expected timeout, got {other:?}"),
-        }
-        assert!(
-            t0.elapsed() >= deadline,
-            "send_timeout returned before its deadline"
-        );
-    }
-
-    #[test]
-    fn recv_timeout_sees_disconnect_mid_wait() {
-        let (tx, rx) = unbounded::<u8>();
-        let dropper = thread::spawn(move || {
-            thread::sleep(Duration::from_millis(10));
-            drop(tx);
-        });
-        // The blocked receiver must wake on disconnection well before the
-        // deadline, not sleep it out.
-        assert_eq!(
-            rx.recv_timeout(Duration::from_secs(5)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-        dropper.join().unwrap();
     }
 
     #[test]

@@ -19,7 +19,10 @@
 //! * [`operator::ScanRaw`] — the operator: owns the binary-chunk cache, the
 //!   persistent WRITE thread, and the per-scan pipeline threads. An instance
 //!   is attached to a raw file, not to a query, and survives across queries
-//!   (paper §3.3).
+//!   (paper §3.3). A scan is planned as one list of chunks in §3.2.1 delivery
+//!   order and READ is one loop over it: each chunk is fetched from its
+//!   planned source (cache, database, hybrid, raw) or, when that source no
+//!   longer has it, from the next one down.
 //! * [`scheduler`] — the event-driven scheduler implementing the WRITE
 //!   policies of [`WritePolicy`]: external tables, eager ETL, buffered,
 //!   invisible, and the paper's speculative loading with its end-of-scan
@@ -29,11 +32,13 @@
 //!   READ blocks on it, workers block on it, and closing it is how a scan
 //!   shuts down; there is no timer and no stop flag in the pipeline.
 //! * [`stream`] — the engine-facing end: the chunk iterator, the EXEC
-//!   handle, and `finish`/`Drop`, which close the queue and join the threads.
+//!   handle, and the one teardown behind `finish` and `Drop`, which closes
+//!   the queue and joins the threads.
 //! * [`cache`] — the binary chunks cache: LRU biased toward evicting chunks
 //!   already loaded in the database (§3.1 "Caching").
-//! * [`profile`] — per-stage timing and worker-utilization tracking (the data
-//!   behind Figures 5 and 9).
+//! * [`profile`] — time per stage (the data behind Figure 5): a typed view
+//!   over the six `pipeline.stage.*.nanos` histograms of the operator's
+//!   metrics registry, the only place stage time is kept.
 //! * [`registry`] — one operator per raw file, shared by the execution engine
 //!   across query plans (§3.3 "Integration with a database").
 //!

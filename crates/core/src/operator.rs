@@ -7,26 +7,33 @@
 //! and returns a [`ChunkStream`] the execution engine consumes.
 //!
 //! Chunk delivery order follows §3.2.1: cached chunks first, then chunks
-//! loaded in the database (binary read, no conversion), then raw-file chunks
-//! through the TOKENIZE/PARSE pipeline.
+//! loaded in the database (binary read, no conversion), then hybrid and
+//! raw-file chunks through the TOKENIZE/PARSE pipeline. The plan is one list
+//! in that order and READ is one loop over it: `ScanRaw::fetch` serves each
+//! chunk from its planned source or, when that source no longer has it, from
+//! the next one down the same cascade (cache → db → raw, db → raw, hybrid →
+//! raw), under one `read.chunk` span tagged with the `source` that served
+//! (and `planned`, when the plan said another). The §4 write barrier — READ
+//! waits for the previous query's pending stores — sits in front of the
+//! scan's first device access, whichever source makes it.
 
 use crate::cache::ChunkCache;
 use crate::profile::{Profiler, Stage};
 use crate::queue::{TextPushError, Work, WorkQueue};
 use crate::retry::{with_retry, RetryPolicy, DB_FALLBACK_COUNTER};
-use crate::scheduler::{run_scheduler, ColumnHeat, Event, Writer};
+use crate::scheduler::{ColumnHeat, Event, Scheduler, Writer};
 use crate::stream::{ChunkStream, ExecTask, ScanCounters, ScanState};
 use crossbeam::channel::{bounded, unbounded, Sender};
 use parking_lot::Mutex;
 use scanraw_obs::trace::{self, worker_label, SpanCtx};
-use scanraw_obs::{Histogram, Obs, ObsEvent};
+use scanraw_obs::{Obs, ObsEvent};
 use scanraw_rawfile::chunker::{read_chunk_at, ChunkReader};
 use scanraw_rawfile::parse::{parse_chunk_filtered, RowFilter};
 use scanraw_rawfile::{parse_chunk_projected, tokenize_chunk_selective, TextDialect};
 use scanraw_storage::{Database, TableEntry};
 use scanraw_types::{
     BinaryChunk, ChunkId, ChunkMeta, Error, PositionalMap, RangePredicate, Result, ScanRawConfig,
-    Schema, TextChunk, Value, WritePolicy,
+    Schema, TextChunk, Value,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -96,9 +103,6 @@ pub struct ScanRequest {
     pub convert: ConvertScope,
     /// Range predicate for chunk skipping via min/max statistics.
     pub skip_predicate: Option<RangePredicate>,
-    /// Override for selective tokenizing: number of leading attributes to
-    /// map. Defaults to `last needed column + 1`.
-    pub cols_mapped: Option<usize>,
     /// Push-down selection evaluated during PARSE (disables caching and
     /// loading of the produced chunks).
     pub pushdown: Option<Arc<PushdownFilter>>,
@@ -114,7 +118,6 @@ impl ScanRequest {
             projection: projection.into(),
             convert: ConvertScope::AllColumns,
             skip_predicate: None,
-            cols_mapped: None,
             pushdown: None,
             trace: None,
         }
@@ -123,12 +126,8 @@ impl ScanRequest {
     /// Scan converting only the projected columns.
     pub fn projected(projection: impl Into<Vec<usize>>) -> Self {
         ScanRequest {
-            projection: projection.into(),
             convert: ConvertScope::ProjectionOnly,
-            skip_predicate: None,
-            cols_mapped: None,
-            pushdown: None,
-            trace: None,
+            ..Self::all_columns(projection)
         }
     }
 
@@ -153,29 +152,28 @@ impl ScanRequest {
 
 pub use crate::stream::ScanSummary;
 
-/// Raw chunk travelling through the text lane, with optional per-chunk
-/// conversion overrides for hybrid database+raw reads.
+/// Raw chunk travelling through the text lane: the text and what to convert
+/// from it.
 pub(crate) struct RawJob {
     text: TextChunk,
+    /// Columns to convert (ascending): the scan's conversion set, or for a
+    /// hybrid read only the ones the database lacks.
+    convert_cols: Arc<[usize]>,
     /// Columns already loaded and read from the database, to be merged with
     /// the freshly converted ones (hybrid reads, §3.2.1).
     base: Option<Arc<BinaryChunk>>,
-    /// Per-chunk conversion column override (hybrid: missing columns only).
-    convert_cols: Option<Arc<Vec<usize>>>,
-    /// Per-chunk tokenize-prefix override.
-    cols_mapped: Option<usize>,
     /// The scan this chunk belongs to. The job's reference keeps the scan's
     /// `out` sender alive until the chunk is delivered.
     ctx: Arc<ScanCtx>,
 }
 
 impl RawJob {
+    /// Conversion of the scan's whole conversion set from `text`.
     fn plain(text: TextChunk, ctx: &Arc<ScanCtx>) -> Self {
         RawJob {
             text,
+            convert_cols: ctx.convert_cols.clone(),
             base: None,
-            convert_cols: None,
-            cols_mapped: None,
             ctx: ctx.clone(),
         }
     }
@@ -190,24 +188,6 @@ pub(crate) struct TokenizedChunk {
 /// The work queue of one scan: EXEC tasks, tokenized chunks, raw chunks.
 pub(crate) type ScanQueue = WorkQueue<ExecTask, TokenizedChunk, RawJob>;
 
-/// Per-worker stage histograms (`pipeline.worker.<w>.<stage>.nanos`): wall
-/// time the worker spent in each stage, so pool imbalance is visible even
-/// when the pure per-chunk compute times are uniform.
-struct WorkerHists {
-    tokenize: Histogram,
-    parse: Histogram,
-    exec: Histogram,
-}
-
-/// Runs `f` and records its wall time in `hist`.
-fn timed<T>(hist: &Histogram, f: impl FnOnce() -> T) -> T {
-    // effect-ok: CPU-time stat for the stage histograms, never in scan output
-    let t = std::time::Instant::now();
-    let r = f();
-    hist.observe_duration(t.elapsed());
-    r
-}
-
 /// Everything the pipeline threads of one scan share, as one value. READ
 /// holds a reference and so does every raw job in flight, and nobody else:
 /// the engine's chunk stream ends (the last `out` sender is gone) exactly
@@ -219,8 +199,8 @@ pub(crate) struct ScanCtx {
     queue: Arc<ScanQueue>,
     /// Columns the query reads; a delivered chunk must cover them.
     projection: Vec<usize>,
-    convert_cols: Vec<usize>,
-    cols_mapped: usize,
+    /// Columns a raw chunk of this scan is converted into (ascending).
+    convert_cols: Arc<[usize]>,
     pushdown: Option<Arc<PushdownFilter>>,
     /// Worker-pool size of this scan (0 = sequential regime).
     workers: usize,
@@ -252,6 +232,8 @@ pub struct ScanRaw {
     cache: ChunkCache,
     profiler: Profiler,
     obs: Obs,
+    /// READ's device-retry budget and backoff (WRITE has its own copy).
+    retry: RetryPolicy,
     writer: Arc<Writer>,
     /// Per-column query-history heat: every scan registers its effective
     /// projection here, and the speculative scheduler prioritizes hot cells.
@@ -263,7 +245,6 @@ pub struct ScanRaw {
     map_cache: Option<Mutex<HashMap<ChunkId, PositionalMap>>>,
     /// True once a full sequential scan recorded the complete chunk layout.
     layout_known: AtomicBool,
-    scans_run: AtomicUsize,
 }
 
 impl ScanRaw {
@@ -318,7 +299,6 @@ impl ScanRaw {
         } else {
             None
         };
-        let profiler = Profiler::new();
         // Journal timestamps follow the device clock so events line up with
         // simulated I/O; metrics are clock-agnostic.
         let obs_clock = db.disk().clock().clone();
@@ -327,23 +307,24 @@ impl ScanRaw {
             Arc::new(move || obs_clock.now()),
         );
         cache.attach_obs(&obs);
-        profiler.attach_obs(&obs);
+        let profiler = Profiler::new(&obs.metrics);
         // The device mirrors its accounting into the first registry attached;
         // with several operators over one database that is the oldest one.
         db.disk().attach_obs(&obs.metrics);
         // Device ops record disk.read/disk.write spans under whatever span
         // is ambient on the calling thread.
         db.disk().attach_trace(&obs.trace);
+        let retry = RetryPolicy {
+            budget: config.io_retry_budget,
+            backoff: config.io_retry_backoff,
+        };
         let writer = Arc::new(Writer::spawn(
             db.clone(),
             table.clone(),
             cache.clone(),
             profiler.clone(),
             obs.clone(),
-            RetryPolicy {
-                budget: config.io_retry_budget,
-                backoff: config.io_retry_backoff,
-            },
+            retry.clone(),
         )?);
         let workers = AtomicUsize::new(config.workers);
         Ok(Arc::new(ScanRaw {
@@ -356,12 +337,12 @@ impl ScanRaw {
             cache,
             profiler,
             obs,
+            retry,
             writer,
             heat: Arc::new(ColumnHeat::new()),
             workers,
             map_cache: map_cache_init,
             layout_known: AtomicBool::new(layout_known),
-            scans_run: AtomicUsize::new(0),
         }))
     }
 
@@ -415,7 +396,6 @@ impl ScanRaw {
     /// compares per-worker conversion wall time against device time and
     /// suggests acquiring or releasing workers (paper §3.3).
     pub fn resource_advice(&self) -> ResourceAdvice {
-        use crate::profile::Stage;
         let cpu = self.profiler.total(Stage::Tokenize) + self.profiler.total(Stage::Parse);
         let io = self.profiler.total(Stage::Read) + self.profiler.total(Stage::Write);
         if cpu.is_zero() || io.is_zero() {
@@ -458,29 +438,7 @@ impl ScanRaw {
     /// Retries a device operation under the configured budget and backoff
     /// (see [`ScanRawConfig::io_retry_budget`]).
     fn io_retry<T>(&self, target: &str, op: impl FnMut() -> Result<T>) -> Result<T> {
-        let policy = RetryPolicy {
-            budget: self.config.io_retry_budget,
-            backoff: self.config.io_retry_backoff,
-        };
-        with_retry(&policy, self.db.disk().clock(), &self.obs, target, op)
-    }
-
-    /// Journals that a database read of `chunk` could not be served (even
-    /// after retries) and the READ stage is answering from the raw file.
-    fn note_db_fallback(&self, chunk: ChunkId) {
-        self.obs.event(ObsEvent::DbReadFallback {
-            chunk: chunk.0 as u64,
-        });
-        self.obs.metrics.counter(DB_FALLBACK_COUNTER).inc();
-        self.obs
-            .trace
-            .instant_current("db.fallback", vec![("chunk", chunk.0.to_string())]);
-    }
-
-    /// Number of scans served so far.
-    pub fn scans_run(&self) -> usize {
-        // relaxed-ok: monotonic statistic; no ordering with other state required
-        self.scans_run.load(Ordering::Relaxed)
+        with_retry(&self.retry, self.db.disk().clock(), &self.obs, target, op)
     }
 
     /// True when the chunk layout of the raw file is known (first full scan
@@ -528,8 +486,6 @@ impl ScanRaw {
     /// the raw file cannot be opened, or when a pipeline thread cannot be
     /// spawned.
     pub fn scan(self: &Arc<Self>, request: ScanRequest) -> Result<ChunkStream> {
-        // relaxed-ok: monotonic statistic; no ordering with other state required
-        self.scans_run.fetch_add(1, Ordering::Relaxed);
         let mut needed: Vec<usize> = request.projection.clone();
         needed.sort_unstable();
         needed.dedup();
@@ -544,14 +500,10 @@ impl ScanRaw {
                 )));
             }
         }
-        let convert_cols: Vec<usize> = match request.convert {
+        let convert_cols: Arc<[usize]> = match request.convert {
             ConvertScope::AllColumns => (0..self.schema.len()).collect(),
-            ConvertScope::ProjectionOnly => needed.clone(),
+            ConvertScope::ProjectionOnly => needed.as_slice().into(),
         };
-        let cols_mapped = request
-            .cols_mapped
-            .unwrap_or_else(|| convert_cols.last().map(|&c| c + 1).unwrap_or(1))
-            .clamp(1, self.schema.len());
         if let Some(pd) = &request.pushdown {
             for &c in &pd.columns {
                 if c >= self.schema.len() {
@@ -586,8 +538,7 @@ impl ScanRaw {
             table: self.table.clone(),
             columns: needed.len() as u64,
         });
-        let clock = self.db.disk().clock().clone();
-        let started_at = clock.now();
+        let started_at = self.db.disk().clock().now();
         let counters = Arc::new(ScanCounters::default());
 
         // Plan chunk sources (cache → database → raw, §3.2.1).
@@ -608,7 +559,6 @@ impl ScanRaw {
             queue: queue.clone(),
             projection: needed,
             convert_cols,
-            cols_mapped,
             pushdown: request.pushdown,
             workers,
             trace: scan_span,
@@ -627,7 +577,7 @@ impl ScanRaw {
             let queue = queue.clone();
             let h = std::thread::Builder::new()
                 .name(format!("scanraw-worker-{}-{w}", self.table))
-                .spawn(move || op.worker_loop(w, &queue, scan_span))
+                .spawn(move || op.worker_loop(&queue, scan_span))
                 .map_err(|e| spawn_failed("worker", e))?;
             worker_handles.push(h);
         }
@@ -639,18 +589,18 @@ impl ScanRaw {
             std::thread::Builder::new()
                 .name(format!("scanraw-sched-{}", self.table))
                 .spawn(move || {
-                    run_scheduler(
-                        op.config.write_policy,
-                        events_rx,
-                        events_tx,
-                        op.cache.clone(),
-                        &op.writer,
-                        &op.db,
-                        &op.table,
-                        &op.heat,
-                        &op.obs,
+                    Scheduler {
+                        policy: op.config.write_policy,
+                        cache: &op.cache,
+                        writer: &op.writer,
+                        db: &op.db,
+                        table: &op.table,
+                        heat: &op.heat,
+                        obs: &op.obs,
                         scan_span,
-                    )
+                        events_tx,
+                    }
+                    .run(events_rx)
                 })
                 .map_err(|e| spawn_failed("scheduler", e))?
         };
@@ -669,25 +619,15 @@ impl ScanRaw {
                 .map_err(|e| spawn_failed("READ", e))?
         };
 
-        let wait_for_writes = matches!(
-            self.config.write_policy,
-            WritePolicy::Eager | WritePolicy::Buffered | WritePolicy::Invisible { .. }
-        );
-        let writer = self.writer.clone();
         let state = ScanState {
+            op: self.clone(),
             read_handle,
             worker_handles,
             scheduler_handle,
             events_tx,
-            wait_for_writes,
-            barrier: Box::new(move || writer.barrier()),
             counters,
-            clock,
             started_at,
-            obs: self.obs.clone(),
-            table: self.table.clone(),
             queue,
-            workers,
             scan_span,
         };
         Ok(ChunkStream::new(out_rx, state))
@@ -713,60 +653,35 @@ impl ScanRaw {
     }
 
     fn plan_scan(&self, needed: &[usize], skip: Option<&RangePredicate>) -> Result<ScanPlan> {
-        if !self.layout_known() {
+        let mut plan = ScanPlan {
+            chunks: Vec::new(),
+            streaming: !self.layout_known(),
+            skipped: 0,
+        };
+        if plan.streaming {
             // First scan: stream the whole file sequentially.
-            return Ok(ScanPlan {
-                cached: Vec::new(),
-                from_db: Vec::new(),
-                hybrid: Vec::new(),
-                raw: Vec::new(),
-                streaming: true,
-                skipped: 0,
-            });
+            return Ok(plan);
         }
         let entry = self.db.catalog().table(&self.table)?;
         let entry = entry.read();
         let layout = entry
             .layout()
             .ok_or_else(|| Error::storage("layout flag set but catalog has no layout"))?;
-        let mut cached = Vec::new();
-        let mut from_db = Vec::new();
-        let mut hybrid = Vec::new();
-        let mut raw = Vec::new();
-        let mut skipped = 0usize;
+        let skip = skip.filter(|_| self.config.chunk_skipping);
         for meta in layout.iter() {
-            if let Some(pred) = skip {
-                if self.config.chunk_skipping {
-                    if let Some(stats) = entry.stats(meta.id) {
-                        if let Some((lo, hi)) =
-                            stats.bounds.get(pred.column).and_then(|b| b.as_ref())
-                        {
-                            if !pred.may_overlap(lo, hi) {
-                                skipped += 1;
-                                self.obs.event(ObsEvent::ChunkSkipped {
-                                    chunk: meta.id.0 as u64,
-                                });
-                                continue;
-                            }
-                        }
-                    }
-                }
+            if skip.is_some_and(|pred| entry.prunes(meta.id, pred)) {
+                plan.skipped += 1;
+                self.obs.event(ObsEvent::ChunkSkipped {
+                    chunk: meta.id.0 as u64,
+                });
+                continue;
             }
-            match self.chunk_source(&entry, meta.id, needed) {
-                ChunkSource::Cache => cached.push(*meta),
-                ChunkSource::Db => from_db.push(*meta),
-                ChunkSource::Hybrid => hybrid.push(*meta),
-                ChunkSource::Raw => raw.push(*meta),
-            }
+            let source = self.chunk_source(&entry, meta.id, needed);
+            plan.chunks.push((*meta, source));
         }
-        Ok(ScanPlan {
-            cached,
-            from_db,
-            hybrid,
-            raw,
-            streaming: false,
-            skipped,
-        })
+        // Stable, so each source keeps file order.
+        plan.chunks.sort_by_key(|&(_, source)| source);
+        Ok(plan)
     }
 
     // ----------------------------------------------------------------------
@@ -774,208 +689,196 @@ impl ScanRaw {
     // ----------------------------------------------------------------------
 
     fn read_thread(&self, plan: ScanPlan, ctx: &Arc<ScanCtx>) -> Result<()> {
-        let clock = self.db.disk().clock().clone();
         // Pin the scan span as this thread's ambient context: every
         // read.chunk / retry / db.fallback / disk span below lands under it.
         let _ambient = ctx.trace.map(trace::set_current);
-
-        // Phase 1: cached chunks — no I/O, no conversion.
-        for meta in &plan.cached {
-            let _span = self.obs.trace.enter_current(
-                "read.chunk",
-                vec![
-                    ("chunk", meta.id.0.to_string()),
-                    ("source", "cache".to_string()),
-                ],
-            );
-            let t0 = clock.now();
-            // Since planning the chunk may have been evicted, or evicted and
-            // re-inserted by a concurrent scan of fewer columns: anything
-            // short of the projection is a miss, served by the database or
-            // the raw file instead.
-            let hit = self.cache.get(meta.id);
-            if let Some(chunk) = hit.filter(|c| c.covers(&ctx.projection)) {
-                ctx.counters.from_cache.fetch_add(1, Ordering::Release);
-                let t1 = clock.now();
-                self.profiler.record(Stage::Deliver, t1 - t0, t0, t1);
-                if !ctx.send(chunk) {
-                    return Ok(());
-                }
-            } else if let Ok(chunk) = self.retry_load_from_db(meta, &ctx.projection) {
-                ctx.counters.from_db.fetch_add(1, Ordering::Release);
-                if !ctx.send(Arc::new(chunk)) {
-                    return Ok(());
-                }
-            } else if !self.feed_raw_chunk(meta, ctx)? {
+        let mut barrier_due = true;
+        for (meta, planned) in &plan.chunks {
+            if !self.fetch(meta, *planned, ctx, &mut barrier_due)? {
                 return Ok(());
             }
         }
-
-        // Before touching the device, let pending writes (e.g. the previous
-        // query's safeguard flush) finish — §4: "only the reading of new
-        // chunks from disk has to be delayed until flushing the cache".
-        if (!plan.from_db.is_empty() || !plan.raw.is_empty() || plan.streaming)
-            && self.writer.pending() > 0
-        {
-            self.writer.barrier();
+        if !plan.streaming {
+            return Ok(());
         }
 
-        // Phase 2: chunks already loaded in the database — binary reads.
-        for meta in &plan.from_db {
-            let _span = self.obs.trace.enter_current(
-                "read.chunk",
-                vec![
-                    ("chunk", meta.id.0.to_string()),
-                    ("source", "db".to_string()),
-                ],
-            );
+        // First scan: chunk boundaries are unknown until read, so the file
+        // is streamed and the layout learned on the way.
+        self.await_pending_writes(&mut barrier_due);
+        let clock = self.db.disk().clock();
+        let mut reader = ChunkReader::new(
+            self.db.disk().clone(),
+            self.raw_file.clone(),
+            self.config.chunk_rows,
+        )?;
+        loop {
+            // Streaming discovers the chunk id only after the read, so
+            // the span opens with the source tag alone and is attributed
+            // to its chunk below. (The final iteration reads to discover
+            // EOF, leaving one untagged probe span per cold scan.)
+            let span = self
+                .obs
+                .trace
+                .enter_current("read.chunk", vec![("source", "raw".to_string())]);
             let t0 = clock.now();
-            let loaded = self.retry_load_from_db(meta, &ctx.projection);
+            // Retry-safe: a failed read does not advance the reader's
+            // fetch position, so the re-issued read covers the same span.
+            let chunk = self.io_retry(&self.raw_file, || reader.next_chunk())?;
             let t1 = clock.now();
-            self.profiler.record(Stage::Read, t1 - t0, t0, t1);
-            let Ok(chunk) = loaded else {
-                // The database copy is unreadable even after retries
-                // (permanent fault or persistent corruption): answer from
-                // the raw file instead — a loading failure must never fail
-                // the query.
-                self.note_db_fallback(meta.id);
-                if !self.feed_raw_chunk(meta, ctx)? {
-                    return Ok(());
-                }
-                continue;
-            };
-            ctx.counters.from_db.fetch_add(1, Ordering::Release);
-            let arc = Arc::new(chunk);
-            if !ctx.send(arc.clone()) {
-                return Ok(());
-            }
-            // Database chunks enter the cache with every present column
-            // marked loaded (biased toward early eviction).
-            let present = arc.present_columns();
-            if let Some(ev) = self.cache.insert(arc, &present) {
-                let _ = ctx.events.send(Event::Evicted(ev));
-            }
-        }
-
-        // Phase 2.5: hybrid chunks — loaded columns from the database, the
-        // missing ones converted from the raw file and merged (§3.2.1).
-        let needed = &ctx.convert_cols;
-        for meta in &plan.hybrid {
-            let _span = self.obs.trace.enter_current(
-                "read.chunk",
-                vec![
-                    ("chunk", meta.id.0.to_string()),
-                    ("source", "hybrid".to_string()),
-                ],
-            );
-            let t0 = clock.now();
-            let loaded = self.db.loaded_columns(&self.table, meta.id, needed)?;
-            let base = self.io_retry(&format!("db/{}", self.table), || {
-                self.db.load_chunk(&self.table, meta.id, &loaded)
-            });
-            let text = self.io_retry(&self.raw_file, || {
-                read_chunk_at(self.db.disk(), &self.raw_file, meta)
-            })?;
-            let t1 = clock.now();
-            self.profiler.record(Stage::Read, t1 - t0, t0, t1);
-            ctx.counters.hybrid.fetch_add(1, Ordering::Release);
-            self.obs.metrics.counter("scanraw.cols.hybrid_chunks").inc();
-            let mut job = RawJob::plain(text, ctx);
-            match base {
-                Ok(base) => {
-                    let missing: Vec<usize> = needed
-                        .iter()
-                        .copied()
-                        .filter(|c| !loaded.contains(c))
-                        .collect();
-                    job.cols_mapped = Some(missing.last().map(|&c| c + 1).unwrap_or(1));
-                    job.convert_cols = Some(Arc::new(missing));
-                    job.base = Some(Arc::new(base));
-                }
-                // The loaded columns are unreadable: convert the whole chunk
-                // from the raw text just read.
-                Err(_) => self.note_db_fallback(meta.id),
-            }
-            if !self.dispatch_raw_job(job, ctx) {
-                return Ok(());
-            }
-        }
-
-        // Phase 3: raw-file chunks.
-        if plan.streaming {
-            let mut reader = ChunkReader::new(
-                self.db.disk().clone(),
-                self.raw_file.clone(),
-                self.config.chunk_rows,
-            )?;
-            loop {
-                // Streaming discovers the chunk id only after the read, so
-                // the span opens with the source tag alone and is attributed
-                // to its chunk below. (The final iteration reads to discover
-                // EOF, leaving one untagged probe span per cold scan.)
-                let span = self
-                    .obs
+            let Some(chunk) = chunk else { break };
+            if let Some(span) = &span {
+                self.obs
                     .trace
-                    .enter_current("read.chunk", vec![("source", "raw".to_string())]);
-                let t0 = clock.now();
-                // Retry-safe: a failed read does not advance the reader's
-                // fetch position, so the re-issued read covers the same span.
-                let chunk = self.io_retry(&self.raw_file, || reader.next_chunk())?;
-                let t1 = clock.now();
-                let Some(chunk) = chunk else { break };
-                if let Some(span) = &span {
-                    self.obs
-                        .trace
-                        .add_tag(span.ctx().span, "chunk", chunk.id.0.to_string());
-                }
-                self.profiler.record(Stage::Read, t1 - t0, t0, t1);
-                self.db.catalog().observe_chunk(
-                    &self.table,
-                    ChunkMeta {
-                        id: chunk.id,
-                        file_offset: chunk.file_offset,
-                        byte_len: chunk.len_bytes() as u64,
-                        first_row: chunk.first_row,
-                        rows: chunk.rows,
-                    },
-                )?;
-                ctx.counters.from_raw.fetch_add(1, Ordering::Release);
-                if !self.dispatch_raw_job(RawJob::plain(chunk, ctx), ctx) {
-                    // Abandoned mid-file: the layout stays unknown.
-                    return Ok(());
-                }
+                    .add_tag(span.ctx().span, "chunk", chunk.id.0.to_string());
             }
-            self.db.catalog().mark_layout_complete(&self.table)?;
-            self.layout_known.store(true, Ordering::Release);
-        } else {
-            for meta in &plan.raw {
-                if !self.feed_raw_chunk(meta, ctx)? {
-                    return Ok(());
-                }
+            self.profiler.record(Stage::Read, t1 - t0);
+            self.db.catalog().observe_chunk(
+                &self.table,
+                ChunkMeta {
+                    id: chunk.id,
+                    file_offset: chunk.file_offset,
+                    byte_len: chunk.len_bytes() as u64,
+                    first_row: chunk.first_row,
+                    rows: chunk.rows,
+                },
+            )?;
+            ctx.counters.served[ChunkSource::Raw as usize].fetch_add(1, Ordering::Release);
+            if !self.dispatch_raw_job(RawJob::plain(chunk, ctx), ctx) {
+                // Abandoned mid-file: the layout stays unknown.
+                return Ok(());
             }
         }
+        self.db.catalog().mark_layout_complete(&self.table)?;
+        self.layout_known.store(true, Ordering::Release);
         Ok(())
     }
 
-    /// Reads one raw chunk (by metadata) and dispatches it for conversion.
-    /// Returns false when the scan is shutting down.
-    fn feed_raw_chunk(&self, meta: &ChunkMeta, ctx: &Arc<ScanCtx>) -> Result<bool> {
-        let clock = self.db.disk().clock().clone();
-        let _span = self.obs.trace.enter_current(
-            "read.chunk",
-            vec![
-                ("chunk", meta.id.0.to_string()),
-                ("source", "raw".to_string()),
-            ],
-        );
+    /// Before this scan's first device access, lets pending writes (e.g. the
+    /// previous query's safeguard flush) finish — §4: "only the reading of
+    /// new chunks from disk has to be delayed until flushing the cache".
+    /// Once per scan: the writes this scan queues itself share the device
+    /// with its reads.
+    fn await_pending_writes(&self, due: &mut bool) {
+        if std::mem::take(due) && self.writer.pending() > 0 {
+            self.writer.barrier();
+        }
+    }
+
+    /// READ of one planned chunk: serves it from its planned source or, when
+    /// that source no longer has it, from the next one down the cascade
+    /// (cache → db → raw, db → raw, hybrid → raw) — a loading failure must
+    /// never fail the query. One `read.chunk` span and one stage record per
+    /// chunk, both attributed to the source that served; `planned` is tagged
+    /// when it was a different one. Returns false when the scan is shutting
+    /// down.
+    fn fetch(
+        &self,
+        meta: &ChunkMeta,
+        planned: ChunkSource,
+        ctx: &Arc<ScanCtx>,
+        barrier_due: &mut bool,
+    ) -> Result<bool> {
+        let clock = self.db.disk().clock();
+        let span = self
+            .obs
+            .trace
+            .enter_current("read.chunk", vec![("chunk", meta.id.0.to_string())]);
         let t0 = clock.now();
-        let chunk = self.io_retry(&self.raw_file, || {
-            read_chunk_at(self.db.disk(), &self.raw_file, meta)
-        })?;
+        let raw_text = || {
+            self.io_retry(&self.raw_file, || {
+                read_chunk_at(self.db.disk(), &self.raw_file, meta)
+            })
+        };
+        let mut source = planned;
+        let mut fetched = None;
+        if source == ChunkSource::Cache {
+            // Since planning the chunk may have been evicted, or evicted and
+            // re-inserted by a concurrent scan of fewer columns: anything
+            // short of the projection is a miss.
+            let hit = self.cache.get(meta.id);
+            fetched = hit
+                .filter(|c| c.covers(&ctx.projection))
+                .map(Fetched::Binary);
+            if fetched.is_none() {
+                source = ChunkSource::Db;
+            }
+        }
+        if source != ChunkSource::Cache {
+            self.await_pending_writes(barrier_due);
+        }
+        if source == ChunkSource::Db {
+            // Every column the catalog has, which keeps the cache useful for
+            // wider future queries, provided the projection is among them.
+            let all: Vec<usize> = (0..self.schema.len()).collect();
+            let loaded = self.load_loaded(meta, &all, &ctx.projection).ok();
+            fetched = loaded.map(|(_, chunk)| Fetched::Binary(Arc::new(chunk)));
+        }
+        if source == ChunkSource::Hybrid {
+            // Loaded columns from the database, the missing ones converted
+            // from the raw file and merged (§3.2.1).
+            if let Ok((loaded, base)) = self.load_loaded(meta, &ctx.convert_cols, &[]) {
+                let missing = ctx.convert_cols.iter().copied();
+                fetched = Some(Fetched::Text(RawJob {
+                    text: raw_text()?,
+                    convert_cols: missing.filter(|c| !loaded.contains(c)).collect(),
+                    base: Some(Arc::new(base)),
+                    ctx: ctx.clone(),
+                }));
+            }
+        }
+        let fetched = match fetched {
+            Some(fetched) => fetched,
+            // Planned raw, or nothing cheaper could serve it after all.
+            None => {
+                if matches!(planned, ChunkSource::Db | ChunkSource::Hybrid) {
+                    // The plan counted on the database and its copy is
+                    // unreadable even after retries (permanent fault or
+                    // persistent corruption): READ answers from the raw file.
+                    let chunk = meta.id.0 as u64;
+                    self.obs.event(ObsEvent::DbReadFallback { chunk });
+                    self.obs.metrics.counter(DB_FALLBACK_COUNTER).inc();
+                    let tags = vec![("chunk", chunk.to_string())];
+                    self.obs.trace.instant_current("db.fallback", tags);
+                }
+                source = ChunkSource::Raw;
+                Fetched::Text(RawJob::plain(raw_text()?, ctx))
+            }
+        };
         let t1 = clock.now();
-        self.profiler.record(Stage::Read, t1 - t0, t0, t1);
-        ctx.counters.from_raw.fetch_add(1, Ordering::Release);
-        Ok(self.dispatch_raw_job(RawJob::plain(chunk, ctx), ctx))
+        // A cache hit moves no data: it is delivery, not reading.
+        let cached = source == ChunkSource::Cache;
+        let stage = if cached { Stage::Deliver } else { Stage::Read };
+        self.profiler.record(stage, t1 - t0);
+        ctx.counters.served[source as usize].fetch_add(1, Ordering::Release);
+        if let Some(span) = &span {
+            let id = span.ctx().span;
+            self.obs.trace.add_tag(id, "source", source.name().into());
+            if source != planned {
+                self.obs.trace.add_tag(id, "planned", planned.name().into());
+            }
+        }
+        match fetched {
+            Fetched::Binary(chunk) => {
+                if !ctx.send(chunk.clone()) {
+                    return Ok(false);
+                }
+                if source == ChunkSource::Db {
+                    // Database chunks enter the cache with every present
+                    // column marked loaded (biased toward early eviction).
+                    let present = chunk.present_columns();
+                    if let Some(ev) = self.cache.insert(chunk, &present) {
+                        let _ = ctx.events.send(Event::Evicted(ev));
+                    }
+                }
+                Ok(true)
+            }
+            Fetched::Text(job) => {
+                if source == ChunkSource::Hybrid {
+                    self.obs.metrics.counter("scanraw.cols.hybrid_chunks").inc();
+                }
+                Ok(self.dispatch_raw_job(job, ctx))
+            }
+        }
     }
 
     /// Hands a raw-chunk job to the conversion pipeline (or converts it
@@ -986,13 +889,7 @@ impl ScanRaw {
             // Sequential regime: the chunk passes through the conversion
             // stages one at a time in the READ thread (paper §5.1,
             // "zero worker threads correspond to sequential execution").
-            return match self.convert_job(&job) {
-                Ok((bin, filtered)) => self.deliver(Arc::new(bin), filtered, ctx),
-                Err(e) => {
-                    let _ = ctx.out.send(Err(e));
-                    true
-                }
-            };
+            return self.do_tokenize(job).is_none_or(|job| self.do_parse(job));
         }
         match ctx.queue.try_push_text(job) {
             Ok(()) => true,
@@ -1013,34 +910,38 @@ impl ScanRaw {
         }
     }
 
-    /// [`ScanRaw::load_from_db`] under the configured device-retry budget.
-    fn retry_load_from_db(&self, meta: &ChunkMeta, needed: &[usize]) -> Result<BinaryChunk> {
-        self.io_retry(&format!("db/{}", self.table), || {
-            self.load_from_db(meta, needed)
-        })
-    }
-
-    /// Loads every column of the chunk the catalog has — which keeps the
-    /// cache useful for wider future queries — provided `needed` is among
-    /// them.
-    fn load_from_db(&self, meta: &ChunkMeta, needed: &[usize]) -> Result<BinaryChunk> {
-        let all: Vec<usize> = (0..self.schema.len()).collect();
-        let available = self.db.loaded_columns(&self.table, meta.id, &all)?;
-        if !needed.iter().all(|c| available.contains(c)) {
+    /// Reads from the database, under the device-retry budget, the columns
+    /// among `wanted` that the catalog has for the chunk, provided `required`
+    /// is among them. Returns which ones they are and the chunk holding them.
+    fn load_loaded(
+        &self,
+        meta: &ChunkMeta,
+        wanted: &[usize],
+        required: &[usize],
+    ) -> Result<(Vec<usize>, BinaryChunk)> {
+        let loaded = self.db.loaded_columns(&self.table, meta.id, wanted)?;
+        if !required.iter().all(|c| loaded.contains(c)) {
             return Err(Error::storage(format!(
                 "{} of '{}' lacks requested columns in the database",
                 meta.id, self.table
             )));
         }
-        self.db.load_chunk(&self.table, meta.id, &available)
+        let chunk = self.io_retry(&format!("db/{}", self.table), || {
+            self.db.load_chunk(&self.table, meta.id, &loaded)
+        })?;
+        Ok((loaded, chunk))
     }
 
     // ----------------------------------------------------------------------
     // Conversion (TOKENIZE + PARSE + MAP) and delivery
     // ----------------------------------------------------------------------
 
-    /// Runs TOKENIZE (with optional map caching) for one chunk.
-    fn tokenize(&self, chunk: &TextChunk, cols_mapped: usize) -> Result<PositionalMap> {
+    /// Runs TOKENIZE (with optional map caching) for one raw job.
+    fn tokenize(&self, job: &RawJob) -> Result<PositionalMap> {
+        let chunk = &job.text;
+        // Selective tokenizing maps the attributes up to the last one
+        // converted; PARSE never looks beyond it.
+        let cols_mapped = job.convert_cols.last().map_or(1, |&c| c + 1);
         if let Some(cache) = &self.map_cache {
             if let Some(map) = cache.lock().get(&chunk.id) {
                 // A cached map with at least the needed prefix is reusable;
@@ -1050,110 +951,95 @@ impl ScanRaw {
                 }
             }
         }
-        // CPU stages are timed in wall-clock (the device clock may be
-        // virtual, under which CPU work is instantaneous); span endpoints
-        // stay on the device clock for utilization timelines.
-        let _span = self.obs.trace.enter_current(
-            "tokenize.chunk",
-            vec![
-                ("chunk", chunk.id.0.to_string()),
-                ("worker", worker_label()),
-            ],
-        );
-        let clock = self.db.disk().clock().clone();
-        let t0 = clock.now();
-        // effect-ok: CPU-time stat for the profiler side channel, never in scan output
-        let w0 = std::time::Instant::now();
-        let map = tokenize_chunk_selective(chunk, self.dialect, self.schema.len(), cols_mapped)?;
-        let elapsed = w0.elapsed();
-        let t1 = clock.now();
-        self.profiler.record(Stage::Tokenize, elapsed, t0, t1);
+        let map = self.cpu_stage(Stage::Tokenize, Some(("tokenize.chunk", chunk.id)), || {
+            tokenize_chunk_selective(chunk, self.dialect, self.schema.len(), cols_mapped)
+        })?;
         if let Some(cache) = &self.map_cache {
             cache.lock().insert(chunk.id, map.clone());
         }
         Ok(map)
     }
 
+    /// Runs `work` as one unit of a CPU stage (TOKENIZE, PARSE, EXEC), under
+    /// a span of the given name when the stage has one of its own. CPU work
+    /// is timed on the host: the device clock may be virtual, under which it
+    /// would be instantaneous.
+    fn cpu_stage<T>(
+        &self,
+        stage: Stage,
+        span: Option<(&'static str, ChunkId)>,
+        work: impl FnOnce() -> T,
+    ) -> T {
+        let _span = span.and_then(|(name, chunk)| {
+            let tags = vec![("chunk", chunk.0.to_string()), ("worker", worker_label())];
+            self.obs.trace.enter_current(name, tags)
+        });
+        // effect-ok: CPU-time stat for the stage histograms, never in scan output
+        let started = std::time::Instant::now();
+        let out = work();
+        self.profiler.record(stage, started.elapsed());
+        out
+    }
+
     /// Runs PARSE(+MAP) for one tokenized raw job, honoring push-down
-    /// selection and hybrid column merging. Returns the chunk and whether it
-    /// was row-filtered.
-    fn parse_job(&self, job: &RawJob, map: &PositionalMap) -> Result<(BinaryChunk, bool)> {
+    /// selection and hybrid column merging.
+    fn parse_job(&self, job: &RawJob, map: &PositionalMap) -> Result<BinaryChunk> {
         let chunk = &job.text;
-        let convert_cols: &[usize] = match &job.convert_cols {
-            Some(c) => c,
-            None => &job.ctx.convert_cols,
-        };
-        let _span = self.obs.trace.enter_current(
-            "parse.chunk",
-            vec![
-                ("chunk", chunk.id.0.to_string()),
-                ("worker", worker_label()),
-            ],
-        );
-        let clock = self.db.disk().clock().clone();
-        let t0 = clock.now();
-        // effect-ok: CPU-time stat for the profiler side channel, never in scan output
-        let w0 = std::time::Instant::now();
-        let (mut bin, filtered) = match &job.ctx.pushdown {
-            Some(pd) => {
-                let filter = RowFilter {
-                    columns: &pd.columns,
-                    predicate: &*pd.predicate,
-                };
-                (
+        let filtered = job.ctx.pushdown.is_some();
+        let bin = self.cpu_stage(Stage::Parse, Some(("parse.chunk", chunk.id)), || {
+            let mut bin = match &job.ctx.pushdown {
+                Some(pd) => {
+                    let filter = RowFilter {
+                        columns: &pd.columns,
+                        predicate: &*pd.predicate,
+                    };
                     parse_chunk_filtered(
                         chunk,
                         map,
                         self.dialect,
                         &self.schema,
-                        convert_cols,
+                        &job.convert_cols,
                         &filter,
-                    )?,
-                    true,
-                )
-            }
-            None => (
-                parse_chunk_projected(chunk, map, self.dialect, &self.schema, convert_cols)?,
-                false,
-            ),
-        };
-        // Hybrid merge: graft the database-loaded columns onto the freshly
-        // converted ones (row counts must agree — both sides are the same
-        // chunk; push-down is rejected for hybrid jobs at plan time).
-        if let Some(base) = &job.base {
-            if filtered {
-                return Err(Error::query(
-                    "push-down selection cannot merge with database columns",
-                ));
-            }
-            if base.rows != bin.rows {
-                return Err(Error::storage(format!(
-                    "hybrid merge row mismatch in {}: db {} vs raw {}",
-                    bin.id, base.rows, bin.rows
-                )));
-            }
-            for (i, col) in base.columns.iter().enumerate() {
-                if bin.columns[i].is_none() {
-                    bin.columns[i] = col.clone();
+                    )?
+                }
+                None => parse_chunk_projected(
+                    chunk,
+                    map,
+                    self.dialect,
+                    &self.schema,
+                    &job.convert_cols,
+                )?,
+            };
+            // Hybrid merge: graft the database-loaded columns onto the
+            // freshly converted ones (row counts must agree — both sides are
+            // the same chunk; push-down is rejected for hybrid jobs at plan
+            // time).
+            if let Some(base) = &job.base {
+                if filtered {
+                    return Err(Error::query(
+                        "push-down selection cannot merge with database columns",
+                    ));
+                }
+                if base.rows != bin.rows {
+                    return Err(Error::storage(format!(
+                        "hybrid merge row mismatch in {}: db {} vs raw {}",
+                        bin.id, base.rows, bin.rows
+                    )));
+                }
+                for (i, col) in base.columns.iter().enumerate() {
+                    if bin.columns[i].is_none() {
+                        bin.columns[i] = col.clone();
+                    }
                 }
             }
-        }
-        let elapsed = w0.elapsed();
-        let t1 = clock.now();
-        self.profiler.record(Stage::Parse, elapsed, t0, t1);
+            Ok(bin)
+        })?;
         if !filtered {
             // Statistics from a filtered subset would under-approximate the
             // chunk's true bounds and corrupt chunk skipping — skip them.
             self.record_statistics(&bin)?;
         }
-        Ok((bin, filtered))
-    }
-
-    /// Full conversion of one raw job (sequential regime).
-    fn convert_job(&self, job: &RawJob) -> Result<(BinaryChunk, bool)> {
-        let cols_mapped = job.cols_mapped.unwrap_or(job.ctx.cols_mapped);
-        let map = self.tokenize(&job.text, cols_mapped)?;
-        self.parse_job(job, &map)
+        Ok(bin)
     }
 
     /// Records conversion-time statistics into the catalog (§3.3).
@@ -1172,11 +1058,11 @@ impl ScanRaw {
     /// push-down selection, also caches it and raises the scheduler events
     /// (filtered chunks must never be cached or loaded — §2 WRITE).
     /// Returns false when the consumer is gone.
-    fn deliver(&self, bin: Arc<BinaryChunk>, filtered: bool, ctx: &ScanCtx) -> bool {
+    fn deliver(&self, bin: Arc<BinaryChunk>, ctx: &ScanCtx) -> bool {
         if !ctx.send(bin.clone()) {
             return false;
         }
-        if filtered {
+        if ctx.pushdown.is_some() {
             return true;
         }
         let present = bin.present_columns();
@@ -1200,78 +1086,59 @@ impl ScanRaw {
     /// tasks come first, so chunk-parallel queries overlap aggregation with
     /// the conversion of later chunks, and keep being served after the last
     /// chunk is delivered.
-    fn worker_loop(&self, w: usize, queue: &ScanQueue, trace: Option<SpanCtx>) {
+    fn worker_loop(&self, queue: &ScanQueue, trace: Option<SpanCtx>) {
         // Pin the scan span: tokenize/parse spans (and the retry/disk spans
         // they trigger) attach under it. Engine EXEC tasks carry their own
         // explicit context and override this for their duration.
         let _ambient = trace.map(trace::set_current);
-        let hist = |stage: &str| {
-            self.obs
-                .metrics
-                .duration_histogram(&format!("pipeline.worker.{w}.{stage}.nanos"))
-        };
-        let hists = WorkerHists {
-            tokenize: hist("tokenize"),
-            parse: hist("parse"),
-            exec: hist("exec"),
-        };
         while let Some(work) = queue.pop() {
             match work {
-                Work::Exec(task) => self.run_exec(task, &hists.exec),
-                Work::Parse(job) => timed(&hists.parse, || self.do_parse(job)),
+                // The engine's task closure opens its own `exec.chunk` span.
+                Work::Exec(task) => self.cpu_stage(Stage::Exec, None, task),
+                Work::Parse(job) => {
+                    self.do_parse(job);
+                }
                 Work::Tokenize(job) => {
-                    // A full position lane hands the chunk back: parse it
-                    // here rather than wait for room.
-                    if let Some(job) = timed(&hists.tokenize, || self.do_tokenize(job, queue)) {
-                        timed(&hists.parse, || self.do_parse(job));
+                    if let Some(job) = self.do_tokenize(job) {
+                        // A full position lane hands the chunk back: parse
+                        // it here rather than wait for room.
+                        if let Err(job) = queue.push_parse(job) {
+                            self.do_parse(job);
+                        }
                     }
                 }
             }
         }
     }
 
-    /// Runs one consumer-execution task, recording EXEC stage time (the
-    /// device clock may be virtual, so compute is timed in wall-clock).
-    fn run_exec(&self, task: ExecTask, hist: &Histogram) {
-        let clock = self.db.disk().clock().clone();
-        let t0 = clock.now();
-        // effect-ok: CPU-time stat for the profiler side channel, never in scan output
-        let w0 = std::time::Instant::now();
-        task();
-        let elapsed = w0.elapsed();
-        let t1 = clock.now();
-        self.profiler.record(Stage::Exec, elapsed, t0, t1);
-        hist.observe_duration(elapsed);
-    }
-
-    /// TOKENIZE of one raw chunk, queued for PARSE afterwards. Returns the
-    /// tokenized chunk when the position lane did not take it.
-    fn do_tokenize(&self, raw: RawJob, queue: &ScanQueue) -> Option<TokenizedChunk> {
-        let cols_mapped = raw.cols_mapped.unwrap_or(raw.ctx.cols_mapped);
-        match self.tokenize(&raw.text, cols_mapped) {
-            Ok(map) => queue.push_parse(TokenizedChunk { job: raw, map }).err(),
+    /// TOKENIZE of one raw chunk; a failure goes to the engine instead.
+    fn do_tokenize(&self, job: RawJob) -> Option<TokenizedChunk> {
+        match self.tokenize(&job) {
+            Ok(map) => Some(TokenizedChunk { job, map }),
             Err(e) => {
-                let _ = raw.ctx.out.send(Err(e));
+                let _ = job.ctx.out.send(Err(e));
                 None
             }
         }
     }
 
-    fn do_parse(&self, job: TokenizedChunk) {
+    /// PARSE of one tokenized chunk and its delivery; a failure goes to the
+    /// engine instead. Returns false when the consumer is gone.
+    fn do_parse(&self, job: TokenizedChunk) -> bool {
         let ctx = &job.job.ctx;
         match self.parse_job(&job.job, &job.map) {
-            Ok((bin, filtered)) => {
-                self.deliver(Arc::new(bin), filtered, ctx);
-            }
+            Ok(bin) => self.deliver(Arc::new(bin), ctx),
             Err(e) => {
                 let _ = ctx.out.send(Err(e));
+                true
             }
         }
     }
 }
 
 /// Where a scan fetches one chunk from (see [`ScanRaw::chunk_source`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Ordered as §3.2.1 delivers: cheapest source first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum ChunkSource {
     /// Resident in the binary chunks cache with every needed column.
     Cache,
@@ -1283,13 +1150,31 @@ pub enum ChunkSource {
     Raw,
 }
 
+impl ChunkSource {
+    /// The `source` (and `planned`) tag value of a `read.chunk` span.
+    fn name(self) -> &'static str {
+        match self {
+            ChunkSource::Cache => "cache",
+            ChunkSource::Db => "db",
+            ChunkSource::Hybrid => "hybrid",
+            ChunkSource::Raw => "raw",
+        }
+    }
+}
+
+/// What a source hands READ for one chunk.
+enum Fetched {
+    /// Binary columns, ready for the engine.
+    Binary(Arc<BinaryChunk>),
+    /// Raw text for the conversion pipeline.
+    Text(RawJob),
+}
+
 /// Chunk-source plan for one scan.
 struct ScanPlan {
-    cached: Vec<ChunkMeta>,
-    from_db: Vec<ChunkMeta>,
-    /// Chunks with some (not all) needed columns loaded: db + raw merge.
-    hybrid: Vec<ChunkMeta>,
-    raw: Vec<ChunkMeta>,
+    /// The chunks to deliver with the source each is expected from, in
+    /// delivery order (§3.2.1). Empty when streaming.
+    chunks: Vec<(ChunkMeta, ChunkSource)>,
     /// True on the first scan: stream sequentially, layout unknown.
     streaming: bool,
     skipped: usize,

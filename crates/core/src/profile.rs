@@ -1,17 +1,19 @@
-//! Pipeline instrumentation: per-stage time and worker utilization.
+//! Pipeline instrumentation: time per stage.
 //!
 //! "The code contains special function calls to harness detailed profiling
-//! data" (paper §5, Implementation). The same collector backs two figures:
-//! per-stage time per chunk (Figure 5) and CPU utilization over progress
-//! (Figure 9, together with the device's own utilization timeline).
+//! data" (paper §5, Implementation). Stage time has one store: the six
+//! `pipeline.stage.<stage>.nanos` histograms of the operator's metrics
+//! registry, one sample per unit of stage work. [`Profiler`] is the typed
+//! view over them — what the pipeline records through and what the
+//! scheduler's resource advice, EXPLAIN ANALYZE and the benchmark read
+//! (Figure 5's per-stage time). Utilization over time (Figure 9) comes from
+//! the trace spans and the device's own timeline.
 
-use parking_lot::Mutex;
-use scanraw_obs::{Histogram, Obs};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use scanraw_obs::{Histogram, HistogramSnapshot, MetricsRegistry};
+use std::sync::Arc;
 use std::time::Duration;
 
-/// Pipeline stages that are timed.
+/// Pipeline stages that are timed, in [`Stage::ALL`] order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
     Read,
@@ -45,173 +47,46 @@ impl Stage {
             Stage::Exec => "EXEC",
         }
     }
-
-    fn index(self) -> usize {
-        match self {
-            Stage::Read => 0,
-            Stage::Tokenize => 1,
-            Stage::Parse => 2,
-            Stage::Write => 3,
-            Stage::Deliver => 4,
-            Stage::Exec => 5,
-        }
-    }
 }
 
-/// One timed interval of CPU work (for the utilization timeline).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BusySpan {
-    pub stage: Stage,
-    pub start: Duration,
-    pub end: Duration,
-}
-
-/// Thread-safe stage-time collector. Cheap to clone.
-#[derive(Clone, Default)]
+/// The stage-time histograms of one operator. Cheap to clone.
+#[derive(Clone)]
 pub struct Profiler {
-    inner: Arc<ProfilerInner>,
-}
-
-#[derive(Default)]
-struct ProfilerInner {
-    /// Total nanoseconds per stage.
-    totals: [AtomicU64; 6],
-    /// Chunks processed per stage.
-    chunks: [AtomicU64; 6],
-    /// CPU busy spans, for utilization timelines (opt-in).
-    spans: Mutex<Vec<BusySpan>>,
-    record_spans: AtomicU64, // 0 = off, 1 = on
-    /// One duration histogram per stage, attached at most once; the hot
-    /// path pays a single atomic load when unattached.
-    stage_histograms: OnceLock<[Histogram; 6]>,
+    stages: Arc<[Histogram; 6]>,
 }
 
 impl Profiler {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Mirrors per-chunk stage timings onto `pipeline.stage.<name>.nanos`
-    /// histograms in the given registry. Attaching twice is a no-op.
-    pub fn attach_obs(&self, obs: &Obs) {
-        let _ = self.inner.stage_histograms.set(Stage::ALL.map(|s| {
-            obs.metrics
-                .duration_histogram(&format!("pipeline.stage.{}.nanos", s.name().to_lowercase()))
-        }));
-    }
-
-    /// Enables busy-span recording (needed only for utilization timelines).
-    pub fn record_spans(&self, on: bool) {
-        self.inner
-            .record_spans
-            // relaxed-ok: independent timing statistics; totals are read after the pipeline joins
-            .store(u64::from(on), Ordering::Relaxed);
+    /// Registers `pipeline.stage.<stage>.nanos` for every stage in `metrics`.
+    pub fn new(metrics: &MetricsRegistry) -> Self {
+        Profiler {
+            stages: Arc::new(Stage::ALL.map(|s| {
+                metrics.duration_histogram(&format!(
+                    "pipeline.stage.{}.nanos",
+                    s.name().to_lowercase()
+                ))
+            })),
+        }
     }
 
     /// Records one completed unit of stage work.
-    ///
-    /// `start`/`end` are offsets from the operator clock's epoch; pass
-    /// `Duration::ZERO` twice when only totals matter and span recording is
-    /// off.
-    pub fn record(&self, stage: Stage, elapsed: Duration, start: Duration, end: Duration) {
-        let i = stage.index();
-        // relaxed-ok: independent timing statistics; totals are read after the pipeline joins
-        self.inner.totals[i].fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-        self.inner.chunks[i].fetch_add(1, Ordering::Relaxed);
-        if let Some(histograms) = self.inner.stage_histograms.get() {
-            histograms[i].observe_duration(elapsed);
-        }
-        // relaxed-ok: independent timing statistics; totals are read after the pipeline joins
-        if self.inner.record_spans.load(Ordering::Relaxed) != 0 {
-            self.inner.spans.lock().push(BusySpan { stage, start, end });
-        }
+    pub fn record(&self, stage: Stage, elapsed: Duration) {
+        self.stages[stage as usize].observe_duration(elapsed);
+    }
+
+    /// The stage's histogram as of now; the difference of two snapshots
+    /// ([`HistogramSnapshot::saturating_diff`]) is the window in between.
+    pub fn snapshot(&self, stage: Stage) -> HistogramSnapshot {
+        self.stages[stage as usize].snapshot()
     }
 
     /// Total time spent in a stage across all chunks and workers.
     pub fn total(&self, stage: Stage) -> Duration {
-        // relaxed-ok: independent timing statistics; totals are read after the pipeline joins
-        Duration::from_nanos(self.inner.totals[stage.index()].load(Ordering::Relaxed))
+        Duration::from_nanos(self.snapshot(stage).sum)
     }
 
     /// Number of chunk-units processed by a stage.
     pub fn chunks(&self, stage: Stage) -> u64 {
-        // relaxed-ok: independent timing statistics; totals are read after the pipeline joins
-        self.inner.chunks[stage.index()].load(Ordering::Relaxed)
-    }
-
-    /// Average time per chunk in a stage (None if the stage never ran).
-    pub fn per_chunk(&self, stage: Stage) -> Option<Duration> {
-        let n = self.chunks(stage);
-        if n == 0 {
-            None
-        } else {
-            Some(self.total(stage) / n as u32)
-        }
-    }
-
-    /// All recorded busy spans (empty unless [`Profiler::record_spans`]).
-    pub fn spans(&self) -> Vec<BusySpan> {
-        self.inner.spans.lock().clone()
-    }
-
-    /// CPU utilization per window: total busy time of CPU stages
-    /// (TOKENIZE + PARSE) in each window divided by the window length.
-    /// With `n` workers the value ranges up to `n` (×100 = the "800%" of
-    /// paper Figure 9).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn cpu_utilization_timeline(&self, window: Duration) -> Vec<(Duration, f64)> {
-        assert!(!window.is_zero());
-        let spans = self.inner.spans.lock();
-        // Guard against degenerate spans: zero-length spans contribute no
-        // busy time but would stretch the timeline, and spans recorded with
-        // end < start (clock skew between workers) would underflow the
-        // Duration arithmetic below. Both are dropped.
-        let cpu: Vec<&BusySpan> = spans
-            .iter()
-            .filter(|s| matches!(s.stage, Stage::Tokenize | Stage::Parse))
-            .filter(|s| s.end > s.start)
-            .collect();
-        if cpu.is_empty() {
-            return Vec::new();
-        }
-        let t0 = cpu.iter().map(|s| s.start).min().expect("non-empty");
-        let t1 = cpu.iter().map(|s| s.end).max().expect("non-empty");
-        let n = ((t1 - t0).as_nanos() / window.as_nanos()) as usize + 1;
-        let mut busy = vec![Duration::ZERO; n];
-        for s in cpu {
-            let mut cur = s.start;
-            while cur < s.end {
-                let idx = ((cur - t0).as_nanos() / window.as_nanos()) as usize;
-                let win_end = t0 + window * (idx as u32 + 1);
-                let seg_end = s.end.min(win_end);
-                busy[idx] += seg_end - cur;
-                cur = seg_end;
-            }
-        }
-        (0..n)
-            .map(|i| {
-                (
-                    t0 + window * i as u32,
-                    busy[i].as_secs_f64() / window.as_secs_f64(),
-                )
-            })
-            .collect()
-    }
-
-    /// Clears all accumulated data.
-    pub fn reset(&self) {
-        for t in &self.inner.totals {
-            // relaxed-ok: independent timing statistics; totals are read after the pipeline joins
-            t.store(0, Ordering::Relaxed);
-        }
-        for c in &self.inner.chunks {
-            // relaxed-ok: independent timing statistics; totals are read after the pipeline joins
-            c.store(0, Ordering::Relaxed);
-        }
-        self.inner.spans.lock().clear();
+        self.snapshot(stage).count
     }
 }
 
@@ -224,122 +99,34 @@ mod tests {
     }
 
     #[test]
-    fn totals_and_averages() {
-        let p = Profiler::new();
-        p.record(Stage::Parse, ms(10), ms(0), ms(10));
-        p.record(Stage::Parse, ms(30), ms(10), ms(40));
-        p.record(Stage::Read, ms(5), ms(0), ms(5));
+    fn totals_and_counts_are_the_registry_histograms() {
+        let metrics = MetricsRegistry::new();
+        let p = Profiler::new(&metrics);
+        p.record(Stage::Parse, ms(10));
+        p.record(Stage::Parse, ms(30));
+        p.record(Stage::Read, ms(5));
         assert_eq!(p.total(Stage::Parse), ms(40));
         assert_eq!(p.chunks(Stage::Parse), 2);
-        assert_eq!(p.per_chunk(Stage::Parse), Some(ms(20)));
-        assert_eq!(p.per_chunk(Stage::Write), None);
-    }
-
-    #[test]
-    fn spans_only_when_enabled() {
-        let p = Profiler::new();
-        p.record(Stage::Parse, ms(1), ms(0), ms(1));
-        assert!(p.spans().is_empty());
-        p.record_spans(true);
-        p.record(Stage::Parse, ms(1), ms(1), ms(2));
-        assert_eq!(p.spans().len(), 1);
-    }
-
-    #[test]
-    fn cpu_timeline_counts_only_cpu_stages() {
-        let p = Profiler::new();
-        p.record_spans(true);
-        p.record(Stage::Read, ms(100), ms(0), ms(100)); // not CPU
-        p.record(Stage::Parse, ms(50), ms(0), ms(50));
-        p.record(Stage::Tokenize, ms(50), ms(50), ms(100));
-        let tl = p.cpu_utilization_timeline(ms(100));
-        assert_eq!(tl.len(), 2);
-        assert!((tl[0].1 - 1.0).abs() < 1e-9, "{tl:?}");
-    }
-
-    #[test]
-    fn overlapping_workers_exceed_one() {
-        let p = Profiler::new();
-        p.record_spans(true);
-        // Two workers busy over the same window.
-        p.record(Stage::Parse, ms(100), ms(0), ms(100));
-        p.record(Stage::Parse, ms(100), ms(0), ms(100));
-        let tl = p.cpu_utilization_timeline(ms(100));
-        assert!((tl[0].1 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn reset_clears() {
-        let p = Profiler::new();
-        p.record_spans(true);
-        p.record(Stage::Write, ms(3), ms(0), ms(3));
-        p.reset();
-        assert_eq!(p.total(Stage::Write), Duration::ZERO);
-        assert_eq!(p.chunks(Stage::Write), 0);
-        assert!(p.spans().is_empty());
-    }
-
-    #[test]
-    fn timeline_ignores_zero_length_spans() {
-        let p = Profiler::new();
-        p.record_spans(true);
-        // A zero-length span far in the future must not stretch the
-        // timeline or contribute busy time.
-        p.record(Stage::Parse, ms(0), ms(5000), ms(5000));
-        p.record(Stage::Parse, ms(100), ms(0), ms(100));
-        let tl = p.cpu_utilization_timeline(ms(100));
-        assert_eq!(tl.len(), 2);
-        assert!((tl[0].1 - 1.0).abs() < 1e-9, "{tl:?}");
-        // Only zero-length spans → empty timeline, no panic.
-        p.reset();
-        p.record_spans(true);
-        p.record(Stage::Tokenize, ms(0), ms(7), ms(7));
-        assert!(p.cpu_utilization_timeline(ms(100)).is_empty());
-    }
-
-    #[test]
-    fn timeline_ignores_inverted_spans() {
-        let p = Profiler::new();
-        p.record_spans(true);
-        // end < start (e.g. clock skew) previously underflowed Duration
-        // subtraction; such spans are now dropped.
-        p.record(Stage::Parse, ms(10), ms(50), ms(40));
-        p.record(Stage::Parse, ms(100), ms(0), ms(100));
-        let tl = p.cpu_utilization_timeline(ms(100));
-        assert_eq!(tl.len(), 2);
-        assert!((tl[0].1 - 1.0).abs() < 1e-9, "{tl:?}");
-        // Only inverted spans → empty, no panic.
-        p.reset();
-        p.record_spans(true);
-        p.record(Stage::Tokenize, ms(1), ms(9), ms(3));
-        assert!(p.cpu_utilization_timeline(ms(100)).is_empty());
-    }
-
-    #[test]
-    fn attached_obs_records_stage_histograms() {
-        let p = Profiler::new();
-        let obs = scanraw_obs::Obs::new();
-        p.attach_obs(&obs);
-        p.record(Stage::Parse, ms(10), ms(0), ms(10));
-        p.record(Stage::Parse, ms(30), ms(10), ms(40));
-        let snap = obs
-            .metrics
+        let snap = metrics
             .histogram_snapshot("pipeline.stage.parse.nanos")
-            .expect("histogram registered");
-        assert_eq!(snap.count, 2);
-        assert_eq!(snap.sum, ms(40).as_nanos() as u64);
-        // Stages that never ran stay at zero.
-        let read = obs
-            .metrics
-            .histogram_snapshot("pipeline.stage.read.nanos")
-            .expect("registered at attach time");
-        assert_eq!(read.count, 0);
+            .expect("registered by Profiler::new");
+        assert_eq!((snap.count, snap.sum), (2, ms(40).as_nanos() as u64));
+        assert_eq!(p.snapshot(Stage::Parse), snap);
+        // Stages that never ran are registered and stay at zero.
+        let write = metrics
+            .histogram_snapshot("pipeline.stage.write.nanos")
+            .expect("registered by Profiler::new");
+        assert_eq!(write.count, 0);
+        assert_eq!(p.total(Stage::Write), Duration::ZERO);
     }
 
     #[test]
     fn stage_names() {
         assert_eq!(Stage::Tokenize.name(), "TOKENIZE");
         assert_eq!(Stage::Exec.name(), "EXEC");
-        assert_eq!(Stage::ALL.len(), 6);
+        // A stage's histogram sits at its declaration index.
+        for (i, stage) in Stage::ALL.into_iter().enumerate() {
+            assert_eq!(stage as usize, i);
+        }
     }
 }

@@ -216,8 +216,7 @@ impl Writer {
                                 let res = with_retry(&retry, &clock, &obs, &db_target, || {
                                     db.store_chunk_cols(&table, &chunk, &cols).map(|_| ())
                                 });
-                                let t1 = clock.now();
-                                profiler.record(Stage::Write, t1 - t0, t0, t1);
+                                profiler.record(Stage::Write, clock.now().saturating_sub(t0));
                                 match res {
                                     Ok(()) => {
                                         // Every requested present cell is now
@@ -422,214 +421,208 @@ impl SchedulerReport {
     }
 }
 
-/// Runs the per-scan scheduling policy over the event stream.
-///
-/// Returns when [`Event::QueryDone`] arrives (sent by the chunk stream once
-/// the engine consumed everything and the pipeline threads joined).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn run_scheduler(
-    policy: WritePolicy,
-    events_rx: Receiver<Event>,
-    events_tx: Sender<Event>,
-    cache: ChunkCache,
-    writer: &Writer,
-    db: &Database,
-    table: &str,
-    heat: &ColumnHeat,
-    obs: &Obs,
-    scan_span: Option<SpanCtx>,
-) -> SchedulerReport {
-    let mut report = SchedulerReport::default();
-    // Cells already handed to WRITE this scan (idempotence guard).
-    let mut queued: std::collections::HashSet<(ChunkId, usize)> = std::collections::HashSet::new();
-    // Speculative loading writes one store command at a time (§4), and only
-    // while READ stays blocked (between its ReadBlocked and ReadResumed).
-    let mut write_in_flight = false;
-    let mut read_blocked = false;
-    let mut invisible_quota = match policy {
-        WritePolicy::Invisible { chunks_per_query } => chunks_per_query as u64,
-        _ => 0,
-    };
-    let mut raw_scan_done = false;
-
-    let already_loaded = |id: ChunkId, chunk: &BinaryChunk| -> bool {
-        db.loaded_columns(table, id, &chunk.present_columns())
-            .map(|l| l.len() == chunk.present_columns().len())
-            .unwrap_or(false)
-    };
-
-    while let Ok(ev) = events_rx.recv() {
-        let was_blocked = read_blocked;
-        match ev {
-            // In degraded (external-table) mode no stores are queued at all:
-            // a permanent device fault means every further attempt would fail
-            // the same way.
-            Event::Converted(chunk) if !writer.degraded() => match policy {
-                WritePolicy::Eager
-                    if !already_loaded(chunk.id, &chunk)
-                        && writer.store(
-                            chunk.clone(),
-                            chunk.present_columns(),
-                            Some(events_tx.clone()),
-                            scan_span,
-                        ) =>
-                {
-                    obs.event(ObsEvent::WriteQueued {
-                        chunk: chunk.id.0 as u64,
-                        cause: WriteCause::Eager,
-                    });
-                    report.writes_queued += 1;
-                }
-                WritePolicy::Invisible { .. }
-                    if invisible_quota > 0
-                        && !already_loaded(chunk.id, &chunk)
-                        && writer.store(
-                            chunk.clone(),
-                            chunk.present_columns(),
-                            Some(events_tx.clone()),
-                            scan_span,
-                        ) =>
-                {
-                    invisible_quota -= 1;
-                    obs.event(ObsEvent::WriteQueued {
-                        chunk: chunk.id.0 as u64,
-                        cause: WriteCause::Invisible,
-                    });
-                    report.writes_queued += 1;
-                }
-                _ => {}
-            },
-            Event::Converted(_) => {}
-            Event::Evicted(ev) => {
-                if policy == WritePolicy::Buffered
-                    && !ev.loaded
-                    && !writer.degraded()
-                    && writer.store(
-                        ev.chunk.clone(),
-                        ev.missing_cols.clone(),
-                        Some(events_tx.clone()),
-                        scan_span,
-                    )
-                {
-                    obs.event(ObsEvent::WriteQueued {
-                        chunk: ev.id.0 as u64,
-                        cause: WriteCause::Eviction,
-                    });
-                    report.writes_queued += 1;
-                    report.eviction_writes += 1;
-                }
-            }
-            Event::ReadBlocked => read_blocked = true,
-            Event::ReadResumed => read_blocked = false,
-            Event::WriteDone(_) => write_in_flight = false,
-            Event::RawScanComplete => {
-                raw_scan_done = true;
-                if matches!(policy, WritePolicy::Speculative { safeguard: true })
-                    && !writer.degraded()
-                {
-                    // Flush the cache's unloaded wanted cells, oldest chunk
-                    // first; this overlaps the remainder of query processing
-                    // (§4).
-                    let flushed =
-                        flush_unloaded(&cache, writer, heat, &mut queued, &mut report, scan_span);
-                    if flushed > 0 {
-                        obs.event(ObsEvent::SafeguardFlush { chunks: flushed });
-                    }
-                }
-            }
-            Event::QueryDone => {
-                // Chunks that were still mid-pipeline when the raw scan
-                // completed missed the first safeguard pass; flush them now
-                // so every query is guaranteed to make loading progress.
-                // The writes overlap the next query (the barrier only delays
-                // its first device read).
-                if let WritePolicy::Speculative { safeguard: true } = policy {
-                    if raw_scan_done && !writer.degraded() {
-                        let flushed = flush_unloaded(
-                            &cache,
-                            writer,
-                            heat,
-                            &mut queued,
-                            &mut report,
-                            scan_span,
-                        );
-                        if flushed > 0 {
-                            obs.event(ObsEvent::SafeguardFlush { chunks: flushed });
-                        }
-                    }
-                }
-                break;
-            }
-        }
-        // The speculative rule (§4), level-triggered: while READ is blocked
-        // the disk is idle, so store one chunk at a time — the oldest cached
-        // chunk with missing *wanted* cells not yet handed to WRITE during
-        // this scan. Wanted = hot columns of the observed query history;
-        // without history, every missing cell (the paper's chunk-granular
-        // behaviour). The level must have held since before this event: a
-        // window a worker closes a few microseconds after it opened is not
-        // an idle disk, and a store is as much CPU as a conversion. So the
-        // rule fires on whatever arrives while READ stays blocked — a
-        // conversion, an eviction, and the completion of the previous store.
-        if was_blocked
-            && read_blocked
-            && !write_in_flight
-            && matches!(policy, WritePolicy::Speculative { .. })
-            && !writer.degraded()
-        {
-            let hot = heat.hot_columns();
-            let next = cache
-                .unloaded_cells()
-                .into_iter()
-                .find_map(|(chunk, missing)| {
-                    let want: Vec<usize> = wanted_cols(&missing, &hot)
-                        .into_iter()
-                        .filter(|&c| !queued.contains(&(chunk.id, c)))
-                        .collect();
-                    (!want.is_empty()).then_some((chunk, want))
-                });
-            if let Some((chunk, want)) = next {
-                let id = chunk.id;
-                if writer.store(chunk, want.clone(), Some(events_tx.clone()), scan_span) {
-                    queued.extend(want.into_iter().map(|c| (id, c)));
-                    write_in_flight = true;
-                    obs.event(ObsEvent::SpeculativeWriteTriggered { chunk: id.0 as u64 });
-                    report.writes_queued += 1;
-                    report.speculative_writes += 1;
-                }
-            }
-        }
-    }
-    report
+/// The scheduler of one scan: the operator's parts it works with, borrowed
+/// for the scan's duration.
+pub(crate) struct Scheduler<'a> {
+    pub policy: WritePolicy,
+    pub cache: &'a ChunkCache,
+    pub writer: &'a Writer,
+    pub db: &'a Database,
+    pub table: &'a str,
+    pub heat: &'a ColumnHeat,
+    pub obs: &'a Obs,
+    pub scan_span: Option<SpanCtx>,
+    /// Sender of the scheduler's own event stream, handed to WRITE so store
+    /// completions come back as [`Event::WriteDone`].
+    pub events_tx: Sender<Event>,
 }
 
-/// Queues a store for every cached chunk with missing wanted cells not yet
-/// handed to WRITE, oldest first. Returns the number of store commands
-/// queued (chunks, matching [`ObsEvent::SafeguardFlush`]'s unit).
-fn flush_unloaded(
-    cache: &ChunkCache,
-    writer: &Writer,
-    heat: &ColumnHeat,
-    queued: &mut std::collections::HashSet<(ChunkId, usize)>,
-    report: &mut SchedulerReport,
-    scan_span: Option<SpanCtx>,
-) -> u64 {
-    let hot = heat.hot_columns();
-    let mut flushed = 0;
-    for (chunk, missing) in cache.unloaded_cells() {
+/// Cells already handed to WRITE during this scan (idempotence guard).
+type QueuedCells = std::collections::HashSet<(ChunkId, usize)>;
+
+/// Why the scheduler queues a store.
+#[derive(Clone, Copy, PartialEq)]
+enum Trigger {
+    /// The policy's own rule for a converted or evicted chunk.
+    Policy(WriteCause),
+    /// READ is blocked, so the disk is idle (§4).
+    Speculative,
+    /// The end-of-scan flush of what is still unloaded (§4).
+    Safeguard,
+}
+
+impl Scheduler<'_> {
+    /// Runs the per-scan scheduling policy over the event stream.
+    ///
+    /// Returns when [`Event::QueryDone`] arrives (sent by the chunk stream
+    /// once the engine consumed everything and the pipeline threads joined).
+    pub(crate) fn run(&self, events_rx: Receiver<Event>) -> SchedulerReport {
+        let mut report = SchedulerReport::default();
+        let mut queued = QueuedCells::new();
+        // Speculative loading writes one store command at a time (§4), and
+        // only while READ stays blocked (between its ReadBlocked and
+        // ReadResumed).
+        let mut write_in_flight = false;
+        let mut read_blocked = false;
+        // Converted chunks still to store as they arrive: eager loading is
+        // invisible loading without the quota.
+        let (mut quota, cause) = match self.policy {
+            WritePolicy::Eager => (u64::MAX, WriteCause::Eager),
+            WritePolicy::Invisible { chunks_per_query } => {
+                (chunks_per_query as u64, WriteCause::Invisible)
+            }
+            _ => (0, WriteCause::Invisible),
+        };
+        let mut raw_scan_done = false;
+
+        while let Ok(ev) = events_rx.recv() {
+            let was_blocked = read_blocked;
+            match ev {
+                Event::Converted(chunk) if quota > 0 => {
+                    let present = chunk.present_columns();
+                    let loaded = self.db.loaded_columns(self.table, chunk.id, &present);
+                    let trigger = Trigger::Policy(cause);
+                    if !loaded.is_ok_and(|l| l == present)
+                        && self.store((chunk, present), trigger, &mut queued, &mut report)
+                    {
+                        quota -= 1;
+                    }
+                }
+                Event::Converted(_) => {}
+                Event::Evicted(ev) => {
+                    if self.policy == WritePolicy::Buffered && !ev.loaded {
+                        let trigger = Trigger::Policy(WriteCause::Eviction);
+                        self.store(
+                            (ev.chunk, ev.missing_cols),
+                            trigger,
+                            &mut queued,
+                            &mut report,
+                        );
+                    }
+                }
+                Event::ReadBlocked => read_blocked = true,
+                Event::ReadResumed => read_blocked = false,
+                Event::WriteDone(_) => write_in_flight = false,
+                // Flush the cache's unloaded wanted cells; this overlaps the
+                // remainder of query processing (§4).
+                Event::RawScanComplete => {
+                    raw_scan_done = true;
+                    self.safeguard(&mut queued, &mut report);
+                }
+                Event::QueryDone => {
+                    // Chunks that were still mid-pipeline when the raw scan
+                    // completed missed the first safeguard pass; flush them
+                    // now so every query is guaranteed to make loading
+                    // progress. The writes overlap the next query (the
+                    // barrier only delays its first device read).
+                    if raw_scan_done {
+                        self.safeguard(&mut queued, &mut report);
+                    }
+                    break;
+                }
+            }
+            // The speculative rule (§4), level-triggered: while READ is
+            // blocked the disk is idle, so store one chunk at a time — the
+            // oldest cached chunk with missing *wanted* cells not yet handed
+            // to WRITE during this scan. The level must have held since
+            // before this event: a window a worker closes a few microseconds
+            // after it opened is not an idle disk, and a store is as much
+            // CPU as a conversion. So the rule fires on whatever arrives
+            // while READ stays blocked — a conversion, an eviction, and the
+            // completion of the previous store.
+            if was_blocked
+                && read_blocked
+                && !write_in_flight
+                && matches!(self.policy, WritePolicy::Speculative { .. })
+            {
+                let next = self.unloaded_wanted(&queued).next();
+                write_in_flight = next.is_some_and(|cells| {
+                    self.store(cells, Trigger::Speculative, &mut queued, &mut report)
+                });
+            }
+        }
+        report
+    }
+
+    /// Queues the store of `cols` of a chunk with WRITE, for whichever
+    /// reason, and accounts for it: remembered in `queued`, counted in
+    /// `report` and journaled the way [`SchedulerReport::from_journal`]
+    /// reads it back. In degraded (external-table) mode nothing is queued
+    /// at all: a permanent device fault means every further attempt would
+    /// fail the same way.
+    fn store(
+        &self,
+        (chunk, cols): (Arc<BinaryChunk>, Vec<usize>),
+        trigger: Trigger,
+        queued: &mut QueuedCells,
+        report: &mut SchedulerReport,
+    ) -> bool {
         let id = chunk.id;
-        let want: Vec<usize> = wanted_cols(&missing, &hot)
+        // A safeguard store outlives the scan; nobody waits for it.
+        let notify = (trigger != Trigger::Safeguard).then(|| self.events_tx.clone());
+        let accepted = !self.writer.degraded()
+            && self
+                .writer
+                .store(chunk, cols.clone(), notify, self.scan_span);
+        if !accepted {
+            return false;
+        }
+        queued.extend(cols.into_iter().map(|c| (id, c)));
+        report.writes_queued += 1;
+        let chunk = id.0 as u64;
+        match trigger {
+            Trigger::Policy(cause) => {
+                self.obs.event(ObsEvent::WriteQueued { chunk, cause });
+                report.eviction_writes += u64::from(cause == WriteCause::Eviction);
+            }
+            Trigger::Speculative => {
+                self.obs
+                    .event(ObsEvent::SpeculativeWriteTriggered { chunk });
+                report.speculative_writes += 1;
+            }
+            // Journaled once per flush, by the caller.
+            Trigger::Safeguard => report.safeguard_writes += 1,
+        }
+        true
+    }
+
+    /// Every cached chunk with missing wanted cells not yet handed to WRITE
+    /// during this scan, oldest first, with those cells. Wanted = hot
+    /// columns of the observed query history; without history, every
+    /// missing cell.
+    fn unloaded_wanted<'q>(
+        &self,
+        queued: &'q QueuedCells,
+    ) -> impl Iterator<Item = (Arc<BinaryChunk>, Vec<usize>)> + 'q {
+        let hot = self.heat.hot_columns();
+        let unloaded = self.cache.unloaded_cells().into_iter();
+        unloaded.filter_map(move |(chunk, missing)| {
+            let mut want = wanted_cols(&missing, &hot);
+            want.retain(|&c| !queued.contains(&(chunk.id, c)));
+            (!want.is_empty()).then_some((chunk, want))
+        })
+    }
+
+    /// The end-of-scan safeguard (§4): queues a store for every cached chunk
+    /// with wanted cells still missing, oldest first, and journals how many
+    /// store commands that took.
+    fn safeguard(&self, queued: &mut QueuedCells, report: &mut SchedulerReport) {
+        if !matches!(self.policy, WritePolicy::Speculative { safeguard: true }) {
+            return;
+        }
+        // Each cached chunk comes up once, so the cells queued on the way
+        // cannot change what the rest of the batch wants.
+        let batch: Vec<_> = self.unloaded_wanted(queued).collect();
+        let stored = |cells| self.store(cells, Trigger::Safeguard, queued, report);
+        let chunks = batch
             .into_iter()
-            .filter(|&c| !queued.contains(&(id, c)))
-            .collect();
-        if !want.is_empty() && writer.store(chunk, want.clone(), None, scan_span) {
-            queued.extend(want.into_iter().map(|c| (id, c)));
-            report.writes_queued += 1;
-            report.safeguard_writes += 1;
-            flushed += 1;
+            .map(stored)
+            .filter(|&stored| stored)
+            .count() as u64;
+        if chunks > 0 {
+            self.obs.event(ObsEvent::SafeguardFlush { chunks });
         }
     }
-    flushed
 }
 
 #[cfg(test)]
@@ -655,7 +648,7 @@ mod tests {
             db.clone(),
             "t".to_string(),
             cache.clone(),
-            Profiler::new(),
+            Profiler::new(&obs.metrics),
             obs,
             RetryPolicy {
                 budget,
@@ -739,6 +732,29 @@ mod tests {
         assert_eq!(wanted_cols(&[1, 3, 5], &heat.hot_columns()), vec![3, 5]);
     }
 
+    /// An untraced scheduler over table "t".
+    fn scheduler<'a>(
+        policy: WritePolicy,
+        cache: &'a ChunkCache,
+        writer: &'a Writer,
+        db: &'a Database,
+        heat: &'a ColumnHeat,
+        obs: &'a Obs,
+        events_tx: Sender<Event>,
+    ) -> Scheduler<'a> {
+        Scheduler {
+            policy,
+            cache,
+            writer,
+            db,
+            table: "t",
+            heat,
+            obs,
+            scan_span: None,
+            events_tx,
+        }
+    }
+
     fn run_policy_heat(
         policy: WritePolicy,
         events: Vec<Event>,
@@ -755,18 +771,7 @@ mod tests {
         }
         tx.send(Event::QueryDone).unwrap();
         let obs = Obs::new();
-        let report = run_scheduler(
-            policy,
-            rx,
-            tx.clone(),
-            cache,
-            &writer,
-            &db,
-            "t",
-            heat,
-            &obs,
-            None,
-        );
+        let report = scheduler(policy, &cache, &writer, &db, heat, &obs, tx).run(rx);
         writer.barrier();
         (db, report, obs)
     }
@@ -975,18 +980,16 @@ mod tests {
         tx.send(Event::RawScanComplete).unwrap();
         tx.send(Event::QueryDone).unwrap();
         let obs = Obs::new();
-        let report = run_scheduler(
+        let report = scheduler(
             WritePolicy::speculative(),
-            rx,
-            tx.clone(),
-            cache,
+            &cache,
             &writer,
             &db,
-            "t",
             &heat,
             &obs,
-            None,
-        );
+            tx,
+        )
+        .run(rx);
         writer.barrier();
         assert!(report.writes_queued >= 2);
         for id in 0..2u32 {
@@ -1100,18 +1103,17 @@ mod tests {
             tx.send(Event::ReadBlocked).unwrap();
             tx.send(Event::RawScanComplete).unwrap();
             tx.send(Event::QueryDone).unwrap();
-            let report = run_scheduler(
+            let heat = ColumnHeat::new();
+            let report = scheduler(
                 WritePolicy::speculative(),
-                rx,
-                tx.clone(),
-                cache,
+                &cache,
                 &writer,
                 &db,
-                "t",
-                &ColumnHeat::new(),
+                &heat,
                 &obs,
-                None,
-            );
+                tx,
+            )
+            .run(rx);
             assert_eq!(report.writes_queued, 0, "degraded mode queues nothing");
         }
     }

@@ -8,12 +8,11 @@
 //!
 //! [`finish`]: ChunkStream::finish
 
-use crate::operator::ScanQueue;
+use crate::operator::{ChunkSource, ScanQueue, ScanRaw};
 use crate::scheduler::{Event, SchedulerReport};
 use crossbeam::channel::{Receiver, Sender};
-use scanraw_obs::{Obs, ObsEvent, SpanCtx};
-use scanraw_simio::SharedClock;
-use scanraw_types::{BinaryChunk, Error, Result};
+use scanraw_obs::{ObsEvent, SpanCtx};
+use scanraw_types::{BinaryChunk, Error, Result, WritePolicy};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -53,11 +52,8 @@ impl ExecHandle {
 /// counters correct if a future refactor reads them mid-scan.
 #[derive(Debug, Default)]
 pub(crate) struct ScanCounters {
-    pub from_cache: AtomicUsize,
-    pub from_db: AtomicUsize,
-    pub from_raw: AtomicUsize,
-    /// Chunks served by a hybrid database+raw merge (§3.2.1).
-    pub hybrid: AtomicUsize,
+    /// Chunks served by each source, indexed by `ChunkSource as usize`.
+    pub served: [AtomicUsize; 4],
     pub skipped: AtomicUsize,
 }
 
@@ -90,27 +86,21 @@ pub struct ScanSummary {
 }
 
 pub(crate) struct ScanState {
+    /// The operator being scanned: its clock, write barrier and journal are
+    /// what the teardown reports through.
+    pub op: Arc<ScanRaw>,
     pub read_handle: JoinHandle<Result<()>>,
     pub worker_handles: Vec<JoinHandle<()>>,
     pub scheduler_handle: JoinHandle<SchedulerReport>,
     pub events_tx: Sender<Event>,
-    /// Block on the write barrier before reporting completion (ETL-style
-    /// policies where loading is part of the query).
-    pub wait_for_writes: bool,
-    pub barrier: Box<dyn Fn() + Send>,
     pub counters: Arc<ScanCounters>,
-    pub clock: SharedClock,
     pub started_at: Duration,
-    pub obs: Obs,
-    pub table: String,
     /// The scan's own span (child of the query root), ended when the stream
     /// finishes or is abandoned.
     pub scan_span: Option<SpanCtx>,
     /// The scan's work queue. Closing it is what shuts the pipeline down:
     /// READ stops feeding it and the workers leave their loop.
     pub queue: Arc<ScanQueue>,
-    /// Size of the worker pool (0 = sequential regime, no EXEC service).
-    pub workers: usize,
 }
 
 /// Stream of converted chunks produced by one [`crate::ScanRaw::scan`].
@@ -162,14 +152,9 @@ impl ChunkStream {
     pub fn exec_handle(&self) -> Option<ExecHandle> {
         let state = self.state.as_ref()?;
         // The sequential regime has no pool: accepted work would be stranded.
-        (state.workers > 0).then(|| ExecHandle {
+        (!state.worker_handles.is_empty()).then(|| ExecHandle {
             queue: state.queue.clone(),
         })
-    }
-
-    /// Number of pool workers serving this scan (0 = sequential regime).
-    pub fn workers(&self) -> usize {
-        self.state.as_ref().map_or(0, |s| s.workers)
     }
 
     /// Consumes the rest of the stream, joins every pipeline thread, and
@@ -178,67 +163,28 @@ impl ChunkStream {
     /// # Errors
     ///
     /// Returns the first error any pipeline stage reported (parse errors,
-    /// I/O failures, a panicked worker), or a `Pipeline` error if the scan
-    /// state was already torn down.
+    /// I/O failures, a panicked worker).
     pub fn finish(mut self) -> Result<ScanSummary> {
         // Drain whatever the engine did not consume.
         while self.next_chunk().is_some() {}
-        // All producers are gone once the channel disconnects; drop our end.
-        self.rx = None;
-
-        let Some(state) = self.state.take() else {
-            // Unreachable by construction (`finish` consumes `self`), but a
-            // missing state must not abort the caller's thread.
+        let Some((counters, elapsed, joined)) = self.teardown(true) else {
             return Err(Error::Pipeline("scan state already torn down".into()));
         };
-        // Every chunk is delivered; workers run the EXEC tasks still queued
-        // and leave.
-        state.queue.close();
-        let read_result = state
-            .read_handle
-            .join()
-            .map_err(|_| Error::Pipeline("READ thread panicked".into()))?;
-        for h in state.worker_handles {
-            h.join()
-                .map_err(|_| Error::Pipeline("worker thread panicked".into()))?;
-        }
-        let _ = state.events_tx.send(Event::QueryDone);
-        let report = state
-            .scheduler_handle
-            .join()
-            .map_err(|_| Error::Pipeline("scheduler thread panicked".into()))?;
-        if state.wait_for_writes {
-            (state.barrier)();
-        }
-        let elapsed = state.clock.now().saturating_sub(state.started_at);
-        if let Some(ctx) = state.scan_span {
-            state.obs.trace.end(ctx.span);
-        }
-        state
-            .obs
-            .metrics
-            .duration_histogram("query.latency.nanos")
-            .observe_duration(elapsed);
-        state.obs.event(ObsEvent::QueryEnd {
-            table: state.table.clone(),
-            chunks: self.delivered as u64,
-            rows: self.rows,
-            elapsed_micros: elapsed.as_micros() as u64,
-        });
-
+        let (read_result, report) = joined?;
         if let Some(e) = self.first_error.take() {
             return Err(e);
         }
         read_result?;
 
+        // Acquire pairs with the pipeline threads' Release increments.
+        let served = |s: ChunkSource| counters.served[s as usize].load(Ordering::Acquire);
         Ok(ScanSummary {
             chunks_delivered: self.delivered,
-            // Acquire pairs with the pipeline threads' Release increments.
-            from_cache: state.counters.from_cache.load(Ordering::Acquire),
-            from_db: state.counters.from_db.load(Ordering::Acquire),
-            from_raw: state.counters.from_raw.load(Ordering::Acquire),
-            from_hybrid: state.counters.hybrid.load(Ordering::Acquire),
-            skipped: state.counters.skipped.load(Ordering::Acquire),
+            from_cache: served(ChunkSource::Cache),
+            from_db: served(ChunkSource::Db),
+            from_raw: served(ChunkSource::Raw),
+            from_hybrid: served(ChunkSource::Hybrid),
+            skipped: counters.skipped.load(Ordering::Acquire),
             writes_queued: report.writes_queued,
             speculative_writes: report.speculative_writes,
             safeguard_writes: report.safeguard_writes,
@@ -246,7 +192,65 @@ impl ChunkStream {
             elapsed,
         })
     }
+
+    /// The one pipeline teardown, behind [`ChunkStream::finish`] and `Drop`:
+    /// drops the receiver and closes the queue so every producer unwinds —
+    /// workers run the EXEC tasks still queued and leave — joins READ, the
+    /// workers and, once told the query is done, the scheduler, and ends the
+    /// scan span. Every thread is joined even when one of them panicked. An
+    /// abandoned stream (`finished` false) waits for no write and journals
+    /// no latency or `QueryEnd`. Returns the scan's counters, its duration,
+    /// and READ's result with the scheduler's report (or which thread
+    /// panicked); `None` when the pipeline is already torn down.
+    fn teardown(&mut self, finished: bool) -> Option<(Arc<ScanCounters>, Duration, Joined)> {
+        self.rx = None;
+        let state = self.state.take()?;
+        state.queue.close();
+        let read = state.read_handle.join();
+        let workers = state.worker_handles.into_iter().map(JoinHandle::join);
+        let workers_ok = workers.fold(true, |ok, joined| ok & joined.is_ok());
+        let _ = state.events_tx.send(Event::QueryDone);
+        let report = state.scheduler_handle.join();
+        let (op, obs) = (&state.op, state.op.obs());
+        // Under the ETL-style policies loading is part of the query: block
+        // on the write barrier before reporting completion.
+        if finished
+            && matches!(
+                op.config().write_policy,
+                WritePolicy::Eager | WritePolicy::Buffered | WritePolicy::Invisible { .. }
+            )
+        {
+            op.drain_writes();
+        }
+        let elapsed = (op.database().disk().clock().now()).saturating_sub(state.started_at);
+        if let Some(ctx) = state.scan_span {
+            obs.trace.end(ctx.span);
+        }
+        if finished {
+            obs.metrics
+                .duration_histogram("query.latency.nanos")
+                .observe_duration(elapsed);
+            obs.event(ObsEvent::QueryEnd {
+                table: op.table().to_string(),
+                chunks: self.delivered as u64,
+                rows: self.rows,
+                elapsed_micros: elapsed.as_micros() as u64,
+            });
+        }
+        let panicked = |who: &str| Error::Pipeline(format!("{who} thread panicked"));
+        let joined = match (read, workers_ok, report) {
+            (Ok(read), true, Ok(report)) => Ok((read, report)),
+            (Err(_), ..) => Err(panicked("READ")),
+            (_, false, _) => Err(panicked("worker")),
+            _ => Err(panicked("scheduler")),
+        };
+        Some((state.counters, elapsed, joined))
+    }
 }
+
+/// READ's own result and the scheduler's report, once every pipeline thread
+/// is joined; the error is a thread that panicked.
+type Joined = Result<(Result<()>, SchedulerReport)>;
 
 impl Iterator for ChunkStream {
     type Item = Arc<BinaryChunk>;
@@ -258,20 +262,8 @@ impl Iterator for ChunkStream {
 
 impl Drop for ChunkStream {
     fn drop(&mut self) {
-        // Abandoned stream: drop the receiver and close the queue so the
-        // producers unwind, then join them to avoid leaking threads mid-scan.
-        self.rx = None;
-        if let Some(state) = self.state.take() {
-            state.queue.close();
-            let _ = state.read_handle.join();
-            for h in state.worker_handles {
-                let _ = h.join();
-            }
-            let _ = state.events_tx.send(Event::QueryDone);
-            let _ = state.scheduler_handle.join();
-            if let Some(ctx) = state.scan_span {
-                state.obs.trace.end(ctx.span);
-            }
-        }
+        // Abandoned unless `finish` already tore the pipeline down; joining
+        // the producers avoids leaking threads mid-scan.
+        self.teardown(false);
     }
 }

@@ -5,10 +5,11 @@
 use scanraw::{ConvertScope, ScanRaw, ScanRequest};
 use scanraw_rawfile::generate::{expected_column_sums, stage_csv, CsvSpec};
 use scanraw_rawfile::TextDialect;
-use scanraw_simio::SimDisk;
+use scanraw_simio::{AccessKind, DiskConfig, RealClock, SimDisk};
 use scanraw_storage::Database;
 use scanraw_types::{ScanRawConfig, Schema, WritePolicy};
 use std::sync::Arc;
+use std::time::Duration;
 
 const COLS: usize = 4;
 
@@ -39,7 +40,6 @@ fn partially_loaded(hybrid: bool) -> (Arc<ScanRaw>, CsvSpec) {
         projection: vec![0],
         convert: ConvertScope::ProjectionOnly,
         skip_predicate: None,
-        cols_mapped: None,
         pushdown: None,
         trace: None,
     };
@@ -129,7 +129,6 @@ fn hybrid_sequential_mode_works_too() {
         projection: vec![1],
         convert: ConvertScope::ProjectionOnly,
         skip_predicate: None,
-        cols_mapped: None,
         pushdown: None,
         trace: None,
     };
@@ -140,6 +139,72 @@ fn hybrid_sequential_mode_works_too() {
     let (s, summary) = sums(&op, ScanRequest::projected(vec![1, 3]));
     assert_eq!(s, vec![expected[1], expected[3]]);
     assert_eq!(summary.from_hybrid, 5, "{summary:?}");
+}
+
+/// §4: "only the reading of new chunks from disk has to be delayed until
+/// flushing the cache" — also when every chunk of the new scan is hybrid.
+#[test]
+fn hybrid_only_scan_waits_for_the_previous_scans_flush() {
+    // A real-clock device on which the store of one column cell (250 × 8
+    // bytes, plus its commit record) takes several milliseconds.
+    let disk = SimDisk::new(
+        DiskConfig {
+            read_bw: 64 * 1024 * 1024,
+            write_bw: 256 * 1024,
+            seek_latency: Duration::ZERO,
+            ..DiskConfig::instant()
+        },
+        RealClock::shared(),
+    );
+    let spec = CsvSpec::new(2000, COLS, 12);
+    stage_csv(&disk, "p.csv", &spec);
+    let cfg = ScanRawConfig::default()
+        .with_chunk_rows(250)
+        .with_workers(2)
+        .with_cache_chunks(16)
+        .with_policy(WritePolicy::speculative())
+        .with_hybrid_reads(true);
+    let op = ScanRaw::create(
+        Database::new(disk.clone()),
+        "p",
+        Schema::uniform_ints(COLS),
+        TextDialect::CSV,
+        "p.csv",
+        cfg,
+    )
+    .unwrap();
+    let count = |kind| {
+        let ops = disk.stats().ops();
+        ops.iter().filter(|op| op.kind == kind).count()
+    };
+
+    // Column 0 of all eight chunks becomes durable.
+    sums(&op, ScanRequest::projected(vec![0]));
+    op.drain_writes();
+    let writes_per_scan = count(AccessKind::Write);
+    assert!(writes_per_scan >= 8, "one store per chunk");
+    // Column 1: the safeguard queues its eight stores as the scan ends and
+    // nothing waits for them.
+    sums(&op, ScanRequest::projected(vec![1]));
+    let reads_before = count(AccessKind::Read);
+    // Needs {0, 2} with only column 0 loaded: every chunk is hybrid.
+    let (s, summary) = sums(&op, ScanRequest::projected(vec![0, 2]));
+    op.drain_writes();
+    let expected = expected_column_sums(&spec);
+    assert_eq!(s, vec![expected[0], expected[2]]);
+    assert_eq!(summary.from_hybrid, 8, "{summary:?}");
+
+    let (reads, writes): (Vec<_>, Vec<_>) =
+        (disk.stats().ops().into_iter()).partition(|op| op.kind == AccessKind::Read);
+    // WRITE is one thread serving stores in order, and each scan stored one
+    // column of every chunk: the second scan's flush is the second third.
+    assert_eq!(writes.len(), 3 * writes_per_scan);
+    let flushed = writes[2 * writes_per_scan - 1].end;
+    let first_read = reads[reads_before..].iter().map(|op| op.start).min();
+    assert!(
+        first_read.expect("the hybrid scan reads the device") >= flushed,
+        "READ touched the device at {first_read:?}, the pending flush ended at {flushed:?}"
+    );
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! End-to-end tests of the ScanRaw pipeline across write policies, worker
 //! counts, and query sequences.
 
-use scanraw::{ConvertScope, ScanRaw, ScanRequest};
+use scanraw::{ConvertScope, ScanRaw, ScanRequest, Stage};
 use scanraw_rawfile::generate::{expected_column_sums, stage_csv, CsvSpec};
 use scanraw_rawfile::TextDialect;
 use scanraw_simio::{Clock, DiskConfig, SimDisk, VirtualClock};
@@ -524,6 +524,89 @@ fn cached_chunk_narrowed_after_planning_is_served_from_raw() {
 }
 
 #[test]
+fn cached_chunk_narrowed_after_planning_is_served_from_the_database() {
+    const ALL: [usize; 4] = [0, 1, 2, 3];
+    let (sums, rows, summary, expected, reads, recached, sources) =
+        with_watchdog("narrowed cache over a loaded table", || {
+            let gate = Arc::new(ReadGate {
+                clock: VirtualClock::new(),
+                held: Mutex::new(false),
+                released: Condvar::new(),
+            });
+            let disk = SimDisk::new(DiskConfig::instant(), gate.clone());
+            // Eager: the first scan returns with every cell in the database.
+            let (op, spec) = setup_on(disk, base_config(WritePolicy::Eager, 2));
+            scan_and_sum(&op, ScanRequest::all_columns(ALL));
+            let reads_before = op.profiler().chunks(Stage::Read);
+
+            // Planned with all eight chunks cached wide; READ is held before
+            // it looks any of them up.
+            let recorder = &op.obs().trace;
+            let trace = recorder.next_trace();
+            let root = recorder.enter_root(trace, "query", Vec::new());
+            gate.hold(true);
+            let request = ScanRequest::all_columns(ALL).with_trace(root.ctx());
+            let stream = op.scan(request).unwrap();
+            // Meanwhile chunk 2 is evicted and comes back from a one-column
+            // scan, and chunk 5 is evicted for good.
+            let narrow = narrow_copy(&op, 2);
+            let keep: Vec<_> = [0, 1, 3, 4, 6, 7]
+                .iter()
+                .map(|&id| op.cache().peek(ChunkId(id)).unwrap())
+                .collect();
+            op.cache().clear();
+            for chunk in keep {
+                op.cache().insert(chunk, &ALL);
+            }
+            op.cache().insert(narrow, &[1]);
+            gate.hold(false);
+
+            let (sums, rows, summary) = drain_and_sum(stream, &ALL);
+            drop(root);
+            let reads = op.profiler().chunks(Stage::Read) - reads_before;
+            let recached = [2, 5].map(|id| op.cache().covers(ChunkId(id), &ALL));
+            let mut sources: Vec<_> = recorder
+                .trace(trace)
+                .spans_named("read.chunk")
+                .map(|s| {
+                    let tag = |key| s.tag(key).map(str::to_string);
+                    (
+                        tag("chunk").unwrap(),
+                        tag("source").unwrap(),
+                        tag("planned"),
+                    )
+                })
+                .collect();
+            sources.sort();
+            let expected = expected_column_sums(&spec);
+            (sums, rows, summary, expected, reads, recached, sources)
+        });
+    assert_eq!(rows, ROWS);
+    assert_eq!(sums, expected);
+    assert_eq!(
+        (summary.from_cache, summary.from_db, summary.from_raw),
+        (6, 2, 0),
+        "{summary:?}"
+    );
+    // Served like any other database chunk: READ time recorded, cached again.
+    assert_eq!(reads, 2, "one READ record per database-served chunk");
+    assert_eq!(recached, [true, true], "database chunks re-enter the cache");
+    // One span per chunk, tagged with the source that served it and, when
+    // that is not what the plan said, the plan.
+    let span = |chunk: u32, source: &str, planned: Option<&str>| {
+        let planned = planned.map(str::to_string);
+        (chunk.to_string(), source.to_string(), planned)
+    };
+    let expected_spans: Vec<_> = (0..8)
+        .map(|chunk| match chunk {
+            2 | 5 => span(chunk, "db", Some("cache")),
+            _ => span(chunk, "cache", None),
+        })
+        .collect();
+    assert_eq!(sources, expected_spans);
+}
+
+#[test]
 fn mixed_projections_across_queries() {
     let (op, spec) = setup(base_config(WritePolicy::speculative(), 2));
     let expected = expected_column_sums(&spec);
@@ -543,7 +626,6 @@ fn convert_scope_all_columns_enables_wider_reuse() {
         projection: vec![0],
         convert: ConvertScope::AllColumns,
         skip_predicate: None,
-        cols_mapped: None,
         pushdown: None,
         trace: None,
     };

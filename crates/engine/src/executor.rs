@@ -11,9 +11,7 @@ use scanraw::{
     ScanRequest, ScanSummary, Stage,
 };
 use scanraw_obs::trace::{worker_label, SpanGuard};
-use scanraw_obs::{
-    json, HistogramSnapshot, JournalEntry, Obs, ObsEvent, QueryTrace, SpanId, TraceId,
-};
+use scanraw_obs::{json, JournalEntry, Obs, ObsEvent, QueryTrace, SpanId, TraceId};
 use scanraw_rawfile::TextDialect;
 use scanraw_storage::{Database, RecoveryReport};
 use scanraw_types::{BinaryChunk, Error, RangePredicate, Result, ScanRawConfig, Schema, Value};
@@ -453,14 +451,10 @@ impl Engine {
             ),
             None => (1.0, entry.layout().map(|l| l.total_rows())),
         };
-        let (mut from_cache, mut from_db, mut from_hybrid, mut from_raw) = (0, 0, 0, 0);
+        // Chunks per source, indexed by `ChunkSource as usize`.
+        let mut expect = [0usize; 4];
         for meta in entry.layout().into_iter().flat_map(|l| l.iter()) {
-            match op.chunk_source(&entry, meta.id, &projection) {
-                ChunkSource::Cache => from_cache += 1,
-                ChunkSource::Db => from_db += 1,
-                ChunkSource::Hybrid => from_hybrid += 1,
-                ChunkSource::Raw => from_raw += 1,
-            }
+            expect[op.chunk_source(&entry, meta.id, &projection) as usize] += 1;
         }
         Ok(ExplainReport {
             table: query.table.clone(),
@@ -468,10 +462,10 @@ impl Engine {
             uses_chunk_skipping: range.is_some(),
             estimated_selectivity: selectivity,
             estimated_rows: total_rows.map(|r| (r as f64 * selectivity).round() as u64),
-            expect_from_cache: from_cache,
-            expect_from_db: from_db,
-            expect_from_hybrid: from_hybrid,
-            expect_from_raw: from_raw,
+            expect_from_cache: expect[ChunkSource::Cache as usize],
+            expect_from_db: expect[ChunkSource::Db as usize],
+            expect_from_hybrid: expect[ChunkSource::Hybrid as usize],
+            expect_from_raw: expect[ChunkSource::Raw as usize],
         })
     }
 
@@ -563,7 +557,6 @@ impl Engine {
             projection,
             convert: self.convert_scope(),
             skip_predicate: range.clone(),
-            cols_mapped: None,
             pushdown,
             trace: roots.carrier.as_ref().map(|g| g.ctx()),
         })?;
@@ -644,22 +637,13 @@ impl Engine {
     /// `EXPLAIN ANALYZE`: runs the query and reports the plan alongside the
     /// observed behaviour — per-stage durations, actual chunk sources,
     /// speculative-loading progress, and the cache hit rate, all scoped to
-    /// this query via before/after snapshots of the operator's metrics and
-    /// the journal sequence number.
+    /// this query via before/after snapshots of the operator's stage
+    /// histograms and cache counters and the journal sequence number.
     pub fn explain_analyze(&self, query: &Query) -> Result<AnalyzeReport> {
         let op = self.operator(&query.table)?;
         let explain = self.explain(query)?;
 
-        let stage_before: Vec<Duration> =
-            Stage::ALL.iter().map(|&s| op.profiler().total(s)).collect();
-        let hist_names: Vec<String> = Stage::ALL
-            .iter()
-            .map(|s| format!("pipeline.stage.{}.nanos", s.name().to_lowercase()))
-            .collect();
-        let hist_before: Vec<Option<HistogramSnapshot>> = hist_names
-            .iter()
-            .map(|n| op.obs().metrics.histogram_snapshot(n))
-            .collect();
+        let stages_before = Stage::ALL.map(|s| op.profiler().snapshot(s));
         let cache_before = op.cache().counters();
         let journal_since = op.obs().journal.total_recorded();
 
@@ -668,29 +652,20 @@ impl Engine {
         // journal and write counters cover everything this query caused.
         op.drain_writes();
 
-        let stage_durations: Vec<(&'static str, Duration)> = Stage::ALL
+        // This query's window of each stage histogram: its sum is the stage's
+        // duration, its quantiles the per-chunk latency percentiles.
+        let (stage_durations, stage_percentiles) = Stage::ALL
             .iter()
-            .zip(&stage_before)
-            .map(|(&s, &before)| (s.name(), op.profiler().total(s).saturating_sub(before)))
-            .collect();
-        // Per-chunk latency percentiles for this query's window: diff each
-        // stage histogram against its pre-query snapshot, then interpolate.
-        let stage_percentiles: Vec<(&'static str, [u64; 3])> = Stage::ALL
-            .iter()
-            .zip(&hist_names)
-            .zip(&hist_before)
-            .map(|((&s, name), before)| {
-                let window = match (op.obs().metrics.histogram_snapshot(name), before) {
-                    (Some(after), Some(before)) => Some(after.saturating_diff(before)),
-                    (Some(after), None) => Some(after),
-                    (None, _) => None,
-                };
-                let p = window.map_or([0, 0, 0], |w| {
-                    [w.quantile(0.50), w.quantile(0.95), w.quantile(0.99)]
-                });
-                (s.name(), p)
+            .zip(&stages_before)
+            .map(|(&s, before)| {
+                let w = op.profiler().snapshot(s).saturating_diff(before);
+                let percentiles = [w.quantile(0.50), w.quantile(0.95), w.quantile(0.99)];
+                (
+                    (s.name(), Duration::from_nanos(w.sum)),
+                    (s.name(), percentiles),
+                )
             })
-            .collect();
+            .unzip();
         let query_latency_percentiles = op
             .obs()
             .metrics
@@ -797,18 +772,12 @@ impl Engine {
         let (res_tx, res_rx) = mpsc::channel::<(u32, Result<Vec<AggState>>)>();
         while let Some(chunk) = stream.next_chunk() {
             if let (Some(pred), Some(entry)) = (range, entry.as_ref()) {
-                let e = entry.read();
-                if let Some(Some((lo, hi))) = e
-                    .stats(chunk.id)
-                    .and_then(|stats| stats.bounds.get(pred.column))
-                {
-                    if !pred.may_overlap(lo, hi) {
-                        skipped_ctr.inc();
-                        op.obs().event(ObsEvent::ChunkSkipped {
-                            chunk: chunk.id.0 as u64,
-                        });
-                        continue;
-                    }
+                if entry.read().prunes(chunk.id, pred) {
+                    skipped_ctr.inc();
+                    op.obs().event(ObsEvent::ChunkSkipped {
+                        chunk: chunk.id.0 as u64,
+                    });
+                    continue;
                 }
             }
             let specs = specs.to_vec();

@@ -79,7 +79,7 @@ pub fn parse_chunk_projected(
 
     let mut spans: Vec<(u32, u32)> = vec![(0, 0); schema.len()];
     for row in 0..chunk.rows {
-        locate_row(chunk, map, dialect, schema.len(), row, &sorted, &mut spans)?;
+        locate_row(chunk, map, dialect, row, &sorted, &mut spans)?;
         for (c, b) in builders.iter_mut() {
             let (s, e) = spans[*c];
             b.push(
@@ -159,15 +159,7 @@ pub fn parse_chunk_filtered(
     let mut selected = 0u32;
 
     for row in 0..chunk.rows {
-        locate_row(
-            chunk,
-            map,
-            dialect,
-            schema.len(),
-            row,
-            &pred_sorted,
-            &mut spans,
-        )?;
+        locate_row(chunk, map, dialect, row, &pred_sorted, &mut spans)?;
         pred_values.clear();
         for &c in filter.columns {
             let (s, e) = spans[c];
@@ -189,15 +181,7 @@ pub fn parse_chunk_filtered(
             }
         }
         if !rest_sorted.is_empty() {
-            locate_row(
-                chunk,
-                map,
-                dialect,
-                schema.len(),
-                row,
-                &rest_sorted,
-                &mut spans,
-            )?;
+            locate_row(chunk, map, dialect, row, &rest_sorted, &mut spans)?;
             for (c, b) in rest_builders.iter_mut() {
                 let (s, e) = spans[*c];
                 b.push(
@@ -223,7 +207,6 @@ fn locate_row(
     chunk: &TextChunk,
     map: &PositionalMap,
     dialect: TextDialect,
-    n_cols: usize,
     row: u32,
     wanted_sorted: &[usize],
     spans: &mut [(u32, u32)],
@@ -280,7 +263,6 @@ fn locate_row(
             }
             p as u32
         };
-        let _ = n_cols;
         spans[col] = (start, end);
     }
     Ok(())

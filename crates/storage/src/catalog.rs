@@ -88,16 +88,6 @@ impl ChunkStats {
         }
         1.0
     }
-
-    /// True when the chunk *might* contain a value of `col` within
-    /// `[lo, hi]`; chunks answering false can be skipped (§3.2.1).
-    /// Unknown bounds conservatively return true.
-    pub fn may_overlap(&self, col: usize, lo: &Value, hi: &Value) -> bool {
-        match self.bounds.get(col).and_then(|b| b.as_ref()) {
-            Some((cmin, cmax)) => !(cmax < lo || cmin > hi),
-            None => true,
-        }
-    }
 }
 
 /// Metadata of one table.
@@ -208,6 +198,15 @@ impl TableEntry {
 
     pub fn stats(&self, id: ChunkId) -> Option<&ChunkStats> {
         self.stats.get(id.index())
+    }
+
+    /// True when the min/max statistics of chunk `id` prove that none of its
+    /// rows can satisfy `pred`, so a scan may skip the chunk (§3.2.1). A
+    /// chunk or column without recorded bounds is never pruned.
+    pub fn prunes(&self, id: ChunkId, pred: &RangePredicate) -> bool {
+        self.stats(id)
+            .and_then(|s| s.bounds.get(pred.column)?.as_ref())
+            .is_some_and(|(lo, hi)| !pred.may_overlap(lo, hi))
     }
 
     /// Estimated fraction of the table's rows matching a range predicate,
@@ -467,12 +466,13 @@ mod tests {
         c.record_stats("t", &chunk(0, vec![10, 20, 30])).unwrap();
         let t = c.table("t").unwrap();
         let t = t.read();
-        let s = t.stats(ChunkId(0)).unwrap();
-        assert!(s.may_overlap(0, &Value::Int(15), &Value::Int(18)));
-        assert!(!s.may_overlap(0, &Value::Int(31), &Value::Int(99)));
-        assert!(!s.may_overlap(0, &Value::Int(0), &Value::Int(9)));
-        // Unknown column bounds are conservative.
-        assert!(s.may_overlap(1, &Value::Int(1000), &Value::Int(2000)));
+        let between = |col, lo, hi| RangePredicate::between(col, Value::Int(lo), Value::Int(hi));
+        assert!(!t.prunes(ChunkId(0), &between(0, 15, 18)));
+        assert!(t.prunes(ChunkId(0), &between(0, 31, 99)));
+        assert!(t.prunes(ChunkId(0), &between(0, 0, 9)));
+        // Unknown column bounds and unseen chunks are conservative.
+        assert!(!t.prunes(ChunkId(0), &between(1, 1000, 2000)));
+        assert!(!t.prunes(ChunkId(7), &between(0, 31, 99)));
     }
 
     #[test]

@@ -84,6 +84,51 @@ fn explain_analyze_reports_sources_across_cold_and_warm_runs() {
 }
 
 #[test]
+fn stage_time_has_one_store() {
+    use scanraw_repro::core::Stage;
+    let (_disk, engine) = engine_with_table(WritePolicy::speculative(), 32);
+    let q = Query::sum_of_columns("t", 0..4);
+    let op = engine.operator("t").unwrap();
+    let histogram = |s: Stage| {
+        let name = format!("pipeline.stage.{}.nanos", s.name().to_lowercase());
+        let snapshot = op.obs().metrics.histogram_snapshot(&name);
+        snapshot.unwrap_or_else(|| panic!("{name} is registered with the operator"))
+    };
+
+    // Raw, then cache, then — written back and the cache dropped — database:
+    // between them the three scans run every stage.
+    engine.execute(&q).unwrap();
+    engine.execute(&q).unwrap();
+    op.drain_writes();
+    op.cache().clear();
+    let before = Stage::ALL.map(histogram);
+    let report = engine.explain_analyze(&q).unwrap();
+    assert_eq!(report.outcome.scan.from_db, 8);
+
+    // The profiler is a view over the registry's stage histograms.
+    for stage in Stage::ALL {
+        let h = histogram(stage);
+        assert!(h.count > 0, "{} never ran", stage.name());
+        assert_eq!(op.profiler().chunks(stage), h.count, "{}", stage.name());
+        let total = op.profiler().total(stage);
+        assert_eq!(total.as_nanos(), u128::from(h.sum), "{}", stage.name());
+    }
+    // EXPLAIN ANALYZE reports the same histograms' window over its query.
+    let doc = report.to_json();
+    let parsed = scanraw_repro::obs::json::parse(&doc.to_json()).unwrap();
+    for (i, (stage, before)) in Stage::ALL.into_iter().zip(&before).enumerate() {
+        let window = histogram(stage).saturating_diff(before);
+        let row = &parsed["stage_micros"][i];
+        assert_eq!(row["stage"].as_str(), Some(stage.name()));
+        assert_eq!(row["micros"].as_u64(), Some(window.sum / 1_000), "{row:?}");
+        assert_eq!(
+            report.stage_durations[i].1.as_nanos(),
+            u128::from(window.sum)
+        );
+    }
+}
+
+#[test]
 fn speculative_run_journals_its_loading_decisions() {
     let (_disk, engine) = engine_with_table(WritePolicy::speculative(), 32);
     let q = Query::sum_of_columns("t", 0..4);

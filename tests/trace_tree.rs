@@ -146,6 +146,93 @@ fn serial_and_parallel_traces_are_well_formed() {
     }
 }
 
+/// READ attribution: every delivered chunk has exactly one `read.chunk` span,
+/// never inside another one, tagged with its chunk and with the source that
+/// served it. `probes` is how many chunk-less spans are allowed (the
+/// streaming loop's EOF probe on a first scan).
+fn assert_read_attribution(trace: &QueryTrace, delivered: usize, source: &str, probes: usize) {
+    let by_id: std::collections::HashMap<u64, &SpanRecord> =
+        trace.spans.iter().map(|s| (s.id.0, s)).collect();
+    let mut chunks = Vec::new();
+    let mut untagged = 0;
+    for span in trace.spans_named("read.chunk") {
+        let mut ancestor = span.parent;
+        while let Some(id) = ancestor {
+            assert_ne!(by_id[&id.0].name, "read.chunk", "nested read.chunk");
+            ancestor = by_id[&id.0].parent;
+        }
+        let served = span.tag("source").expect("read.chunk tagged with source");
+        assert_eq!(served, source, "planned={:?}", span.tag("planned"));
+        match span.tag("chunk") {
+            Some(chunk) => chunks.push(chunk),
+            None => untagged += 1,
+        }
+    }
+    assert!(
+        untagged <= probes,
+        "{untagged} read.chunk spans without chunk"
+    );
+    chunks.sort_unstable();
+    let reads = chunks.len();
+    chunks.dedup();
+    assert_eq!(chunks.len(), reads, "a chunk was read twice");
+    assert_eq!(reads, delivered, "every delivered chunk has a READ span");
+}
+
+#[test]
+fn every_delivered_chunk_has_one_read_span_from_every_source() {
+    for workers in [0, 2] {
+        let session = Session::open(staged_disk(7));
+        let config = ScanRawConfig::default()
+            .with_chunk_rows(CHUNK_ROWS)
+            .with_workers(workers)
+            .with_cache_chunks(16)
+            .with_policy(WritePolicy::speculative())
+            .with_hybrid_reads(true);
+        session
+            .register_table(
+                "t",
+                "t.csv",
+                Schema::uniform_ints(COLS),
+                TextDialect::CSV,
+                config,
+            )
+            .unwrap();
+        // Column-granular loading, so a wider query finds a partial table.
+        session
+            .engine()
+            .set_convert_scope(ConvertScope::ProjectionOnly);
+        let op = session.engine().operator("t").unwrap();
+        let traced = |cols: &[usize]| {
+            let q = Query::sum_of_columns("t", cols.iter().copied());
+            let (out, trace) = session
+                .run(ExecRequest::query(q).traced())
+                .unwrap()
+                .into_traced_single();
+            assert_tree_shape(&trace);
+            (out.scan, trace)
+        };
+
+        let (scan, trace) = traced(&[0]);
+        assert_eq!((scan.from_raw, scan.chunks_delivered), (8, 8), "{scan:?}");
+        assert_read_attribution(&trace, 8, "raw", 1);
+        let (scan, trace) = traced(&[0]);
+        assert_eq!(scan.from_cache, 8, "{scan:?}");
+        assert_read_attribution(&trace, 8, "cache", 0);
+        // The safeguard stored column 0; without the cache it is the
+        // database that serves it.
+        op.drain_writes();
+        op.cache().clear();
+        let (scan, trace) = traced(&[0]);
+        assert_eq!(scan.from_db, 8, "{scan:?}");
+        assert_read_attribution(&trace, 8, "db", 0);
+        op.cache().clear();
+        let (scan, trace) = traced(&[0, 2]);
+        assert_eq!(scan.from_hybrid, 8, "{scan:?}");
+        assert_read_attribution(&trace, 8, "hybrid", 0);
+    }
+}
+
 #[test]
 fn traces_are_deterministic_on_the_virtual_clock() {
     // Same seed, same config → identical span trees (names, parents, tags,

@@ -26,50 +26,6 @@ rule_doc! {
 }
 
 rule_doc! {
-    /// L002 — `unwrap()`/`expect()` inside spawned worker closures
-    /// (crates/core, crates/simio).
-    ///
-    /// Why: a panic in a worker thread kills it silently; the scan hangs or
-    /// loses data instead of failing with an error.
-    ///
-    /// Example: `thread::spawn(move || { rx.recv().unwrap(); })`.
-    ///
-    /// Escape: `// lint-ok: L002 <reason>`; prefer sending `Err(..)` on the
-    /// scan's output channel.
-    L002
-}
-
-rule_doc! {
-    /// L003 — lock-acquisition-order cycle across the workspace.
-    ///
-    /// Why: two threads taking the same locks in opposite orders can each
-    /// hold one and wait for the other: deadlock.
-    ///
-    /// Example: fn A locks `catalog` then `cache`; fn B locks `cache` then
-    /// `catalog`.
-    ///
-    /// Escape: `// lint-ok: L003 <reason>` on any edge of the cycle, when
-    /// the two orders are provably never concurrent. The global order lives
-    /// in DESIGN.md "Concurrency invariants".
-    L003
-}
-
-rule_doc! {
-    /// L004 — blocking channel `send`/`recv` while a lock guard is live in
-    /// the same scope.
-    ///
-    /// Why: a full (or empty) channel blocks while the guard starves every
-    /// other thread needing the lock; with a lock-needing counterparty it
-    /// deadlocks (see L011 for the interprocedural version).
-    ///
-    /// Example: `let g = state.lock(); tx.send(item);`.
-    ///
-    /// Escape: `// lint-ok: L004 <reason>`; prefer dropping the guard or a
-    /// try_/timeout variant.
-    L004
-}
-
-rule_doc! {
     /// L005 — `Condvar::wait` outside a predicate loop.
     ///
     /// Why: condition variables wake spuriously and after missed
@@ -138,56 +94,73 @@ rule_doc! {
 }
 
 rule_doc! {
-    /// L011 — wait-for cycle through a channel or condvar, across crates.
+    /// L011 — cycle in the wait-for graph of locks, channels and condvars,
+    /// across crates.
     ///
-    /// Why: locks are not the only wait edges. A thread that `recv`s while
-    /// holding lock `L` waits for a producer; if every producer must take
-    /// `L` to send, nobody progresses — a deadlock no lock-order rule sees.
-    /// The analyzer unifies lock-order edges with channel data/capacity
-    /// facets and condvar edges into one graph and reports cycles that pass
-    /// through a `chan:`/`cv:` node.
+    /// Why: two threads taking the same locks in opposite orders can each
+    /// hold one and wait for the other — and locks are not the only wait
+    /// edges. A thread that `recv`s while holding lock `L` waits for a
+    /// producer; if every producer must take `L` to send, nobody progresses.
+    /// The analyzer puts lock-under-lock edges, channel data/capacity facets
+    /// and condvar edges into one graph and reports every cycle, saying
+    /// whether it is a lock-order cycle or passes through a `chan:`/`cv:`
+    /// node.
     ///
-    /// Example: scheduler holds `state` and `recv`s acks; the writer must
-    /// lock `state` before `send`ing acks.
+    /// Example: fn A locks `catalog` then `cache` while fn B locks `cache`
+    /// then `catalog`; or the scheduler holds `state` and `recv`s acks while
+    /// the writer must lock `state` before `send`ing them.
     ///
-    /// Escape: `// lint-ok: L011 <reason>` on an edge site — only when an
-    /// unguarded producer provably keeps the channel live. L011 cannot be
-    /// baselined: fix or audit in source.
+    /// Escape: `// lint-ok: L011 <reason>` on an edge site — only when the
+    /// two orders are provably never concurrent, or an unguarded producer
+    /// keeps the channel live. The global lock order lives in DESIGN.md
+    /// "Concurrency invariants". L011 cannot be baselined: fix or audit in
+    /// source.
     L011
 }
 
 rule_doc! {
-    /// L012 — blocking call while a lock guard is live, interprocedural.
+    /// L012 — blocking while a lock guard is live, directly or through calls.
     ///
-    /// Why: the guard-holding frame may be many calls above the block:
+    /// Why: a full (or empty) channel, a `sleep`, a `join` or a condvar wait
+    /// blocks while the guard starves every other thread needing the lock —
+    /// and the guard-holding frame may be many calls above the block:
     /// `flush()` three frames down does `recv`, `sleep`, `join`, or disk
-    /// I/O, and every other thread needing the lock stalls behind it. The
-    /// call graph propagates each function's transitive blocking set;
-    /// the walk flags calls made under a live guard into a blocking
-    /// closure. Plain `.lock()` nesting is L003's domain and not counted.
+    /// I/O. The guard-tracking walk flags the blocking operation itself when
+    /// it sits under a live guard, and, through each function's transitive
+    /// blocking set on the call graph, calls made under a live guard into a
+    /// blocking closure. Plain `.lock()` nesting is L011's domain and not
+    /// counted.
     ///
-    /// Example: `let g = cache.lock(); flush_writes();` where
+    /// Example: `let g = state.lock(); tx.send(item);`, or
+    /// `let g = cache.lock(); flush_writes();` where
     /// `flush_writes → barrier → ack_rx.recv()`.
     ///
     /// Escape: `// unblock-ok: <reason>` (or `// lint-ok: L012 <reason>`)
-    /// on the call site, when the callee's blocking path is unreachable
-    /// from here. L012 cannot be baselined: fix or audit in source.
+    /// on the site, when it cannot actually block here; prefer dropping the
+    /// guard or a try_/timeout variant. L012 cannot be baselined: fix or
+    /// audit in source.
     L012
 }
 
 rule_doc! {
-    /// L013 — panic reachable from a spawned-thread root through calls.
+    /// L013 — panic on a spawned thread: in the closure or anything it calls.
     ///
-    /// Why: L002 sees `unwrap` in the closure body; a worker dies just as
-    /// silently when the panic is three helpers deep. Reachability from
-    /// every `spawn` site is closed over the call graph; `unwrap`,
-    /// `expect`, and `panic!`-family macros in reached functions are
-    /// reported (in core/engine/storage/simio/obs). `assert!` is exempt as
-    /// a deliberate invariant check; slice indexing is out of scope
-    /// (documented unsoundness).
+    /// Why: a panic in a worker thread kills it silently; the scan hangs or
+    /// loses data instead of failing with an error — whether the `unwrap`
+    /// sits in the spawn closure itself or three helpers deep. Reachability
+    /// from every `spawn` site is closed over the call graph; `unwrap`,
+    /// `expect`, and `panic!`-family macros in the closure body and in
+    /// every reached function are reported (in
+    /// core/engine/storage/simio/obs). `assert!` is exempt as a deliberate
+    /// invariant check, as is `.lock().unwrap()` (it re-raises a panic that
+    /// already happened); slice indexing is out of scope (documented
+    /// unsoundness).
+    ///
+    /// Example: `thread::spawn(move || { rx.recv().unwrap(); })`.
     ///
     /// Escape: `// lint-ok: L013 <reason>` on the panic site, when the
-    /// invariant provably holds on every worker path.
+    /// invariant provably holds on every worker path; prefer sending
+    /// `Err(..)` on the scan's output channel.
     L013
 }
 

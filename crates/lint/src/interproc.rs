@@ -1,13 +1,12 @@
 //! The interprocedural rule pass: builds the resolver, the call graph, and
 //! the unified wait-for graph once, then derives
 //!
-//! * **L011** — wait-for cycles that pass through a channel or condvar node
-//!   (pure lock cycles remain L003's report);
-//! * **L012** — blocking reached while a lock guard is live, through any
+//! * **L011** — every cycle of the wait-for graph: lock-order inversions
+//!   and cycles that pass through a channel or condvar node alike;
+//! * **L012** — blocking while a lock guard is live, directly or through any
 //!   number of calls (collected during the wait-graph walk);
-//! * **L013** — panic sites (`unwrap`/`expect`/panic-family macros) in
-//!   functions reachable from a spawned-thread root. Sites lexically inside
-//!   the spawn closure itself are L002's domain and are skipped here;
+//! * **L013** — panic sites (`unwrap`/`expect`/panic-family macros) in a
+//!   spawned closure's own body and in every function reachable from it.
 //!   `assert!`-family macros are deliberate invariant checks and exempt.
 
 use crate::callgraph::CallGraph;
@@ -52,13 +51,6 @@ fn l011_wait_cycles(
     // capacity facet. Normalize facets away and report each shape once.
     let mut seen: std::collections::BTreeSet<Vec<String>> = std::collections::BTreeSet::new();
     for cycle in wa.graph.cycles() {
-        // Pure lock-order cycles are L003's; L011 owns the mixed ones.
-        if !cycle
-            .iter()
-            .any(|(a, _, _)| a.starts_with("chan:") || a.starts_with("cv:"))
-        {
-            continue;
-        }
         let mut key: Vec<String> = cycle
             .iter()
             .map(|(a, _, _)| {
@@ -81,23 +73,36 @@ fn l011_wait_cycles(
         if silenced {
             continue;
         }
+        // A cycle over locks alone is a lock-order inversion and names the
+        // bare locks; one through a `chan:`/`cv:` node keeps the typed names.
+        let lock_only = cycle.iter().all(|(a, _, _)| a.starts_with("lock:"));
+        let show = |n: &str| {
+            let bare = n.strip_prefix("lock:").filter(|_| lock_only);
+            bare.unwrap_or(n).to_string()
+        };
         let path: Vec<String> = cycle
             .iter()
-            .map(|(a, b, s)| format!("{a} -> {b} ({}:{} in {})", s.file, s.line, s.func))
+            .map(|(a, b, s)| {
+                let (a, b) = (show(a), show(b));
+                format!("{a} -> {b} ({}:{} in {})", s.file, s.line, s.func)
+            })
             .collect();
+        let kind = if lock_only {
+            "lock-order cycle"
+        } else {
+            "wait-for cycle through a channel/condvar"
+        };
         let first = &cycle[0].2;
         findings.push(Finding {
             rule: Rule::L011,
             file: first.file.clone(),
             line: first.line,
-            message: format!(
-                "wait-for cycle through a channel/condvar: {}",
-                path.join(", ")
-            ),
-            hint: "break the cycle: drop the guard before the channel op, or route the \
-                   counterparty's lock acquisition outside the send/recv; annotate an edge \
-                   with `// lint-ok: L011 <reason>` only if an unguarded producer keeps the \
-                   channel live"
+            message: format!("{kind}: {}", path.join(", ")),
+            hint: "break the cycle: acquire the locks in one global order everywhere (see \
+                   DESIGN.md 'Concurrency invariants'), drop the guard before the channel op, \
+                   or route the counterparty's lock acquisition outside the send/recv; \
+                   annotate an edge with `// lint-ok: L011 <reason>` only if the orders are \
+                   never concurrent or an unguarded producer keeps the channel live"
                 .to_string(),
         });
     }
@@ -106,10 +111,6 @@ fn l011_wait_cycles(
 fn l013_panic_reachability(files: &[SourceFile], cg: &CallGraph, findings: &mut Vec<Finding>) {
     for (&id, &(root, _)) in &cg.from_root {
         let node = &cg.nodes[id];
-        // The spawn closure's own body is L002's report.
-        if node.spawn_line.is_some() {
-            continue;
-        }
         let f = &files[node.file];
         if !L013_SCOPE.iter().any(|p| f.rel.starts_with(p)) {
             continue;
@@ -196,7 +197,7 @@ mod tests {
     fn l011_cross_function_channel_lock_cycle() {
         let fs = run(&[(
             "crates/core/src/sched.rs",
-            "fn consumer(state: &Mutex<u32>, work_rx: &Receiver<u32>) {\n    let g = state.lock();\n    let v = work_rx.recv(); // lint-ok: L004 fixture\n    drop(v); drop(g);\n}\nfn producer(state: &Mutex<u32>, work_tx: &Sender<u32>) {\n    let g = state.lock();\n    work_tx.send(1); // lint-ok: L004 fixture\n    drop(g);\n}\n",
+            "fn consumer(state: &Mutex<u32>, work_rx: &Receiver<u32>) {\n    let g = state.lock();\n    let v = work_rx.recv();\n    drop(v); drop(g);\n}\nfn producer(state: &Mutex<u32>, work_tx: &Sender<u32>) {\n    let g = state.lock();\n    work_tx.send(1);\n    drop(g);\n}\n",
         )]);
         let l011: Vec<_> = fs.iter().filter(|f| f.rule == Rule::L011).collect();
         assert_eq!(l011.len(), 1, "{fs:?}");
@@ -206,14 +207,23 @@ mod tests {
             l011[0].message
         );
         assert!(l011[0].message.contains("lock:state"));
+        // The two guarded endpoints are also L012 sites in their own right.
+        let l012: Vec<u32> = fs
+            .iter()
+            .filter(|f| f.rule == Rule::L012)
+            .map(|f| f.line)
+            .collect();
+        assert_eq!(l012, [3, 8], "{fs:?}");
     }
 
     #[test]
     fn l011_silenced_by_annotation() {
         let fs = run(&[(
             "crates/core/src/sched.rs",
-            "fn consumer(state: &Mutex<u32>, work_rx: &Receiver<u32>) {\n    let g = state.lock();\n    // lint-ok: L011 shutdown-only path, producer never holds state\n    let v = work_rx.recv(); // lint-ok: L004 fixture\n    drop(v); drop(g);\n}\nfn producer(state: &Mutex<u32>, work_tx: &Sender<u32>) {\n    let g = state.lock();\n    work_tx.send(1); // lint-ok: L004 fixture\n    drop(g);\n}\n",
+            "fn consumer(state: &Mutex<u32>, work_rx: &Receiver<u32>) {\n    let g = state.lock();\n    // lint-ok: L011 shutdown-only path, producer never holds state\n    let v = work_rx.recv();\n    drop(v); drop(g);\n}\nfn producer(state: &Mutex<u32>, work_tx: &Sender<u32>) {\n    let g = state.lock();\n    work_tx.send(1);\n    drop(g);\n}\n",
         )]);
-        assert!(fs.iter().all(|f| f.rule != Rule::L011), "{fs:?}");
+        // The cycle is audited; blocking under the guard is a separate audit.
+        assert_eq!(fs.len(), 2, "{fs:?}");
+        assert!(fs.iter().all(|f| f.rule == Rule::L012), "{fs:?}");
     }
 }

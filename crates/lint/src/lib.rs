@@ -46,12 +46,6 @@ use std::time::{Duration, Instant};
 pub enum Rule {
     /// Cross-module `Ordering::Relaxed` without a `relaxed-ok:` audit note.
     L001,
-    /// `unwrap`/`expect` inside spawned worker closures (core, simio).
-    L002,
-    /// Lock-acquisition-order cycle across the workspace.
-    L003,
-    /// Blocking channel `send`/`recv` while a lock guard is live.
-    L004,
     /// `Condvar::wait` outside a predicate loop.
     L005,
     /// Missing `# Errors`/`# Panics` docs on public API (types, core).
@@ -66,13 +60,14 @@ pub enum Rule {
     /// Observability-catalog drift: metric/event used but not documented in
     /// DESIGN.md, or documented but unused.
     L010,
-    /// Wait-for cycle through a channel/condvar node in the unified
-    /// lock+channel+condvar graph (cross-crate).
+    /// Cycle in the unified lock+channel+condvar wait-for graph
+    /// (cross-crate): a lock-order inversion or a lock/message deadlock.
     L011,
-    /// Blocking operation reached while a lock guard is live, through any
-    /// number of calls (interprocedural).
+    /// Blocking operation while a lock guard is live, directly or through
+    /// any number of calls.
     L012,
-    /// Panic site reachable from a spawned-thread root via the call graph.
+    /// Panic site in a spawned closure or reachable from it via the call
+    /// graph.
     L013,
     /// Unordered `HashMap`/`HashSet` iteration flowing into an
     /// order-sensitive sink (merge, output, journal/trace export).
@@ -95,9 +90,6 @@ impl Rule {
     pub fn id(self) -> &'static str {
         match self {
             Rule::L001 => "L001",
-            Rule::L002 => "L002",
-            Rule::L003 => "L003",
-            Rule::L004 => "L004",
             Rule::L005 => "L005",
             Rule::L006 => "L006",
             Rule::L007 => "L007",
@@ -126,9 +118,6 @@ impl Rule {
     pub fn explain(self) -> &'static str {
         match self {
             Rule::L001 => explain::L001,
-            Rule::L002 => explain::L002,
-            Rule::L003 => explain::L003,
-            Rule::L004 => explain::L004,
             Rule::L005 => explain::L005,
             Rule::L006 => explain::L006,
             Rule::L007 => explain::L007,
@@ -150,18 +139,15 @@ impl Rule {
     pub fn description(self) -> &'static str {
         match self {
             Rule::L001 => "Cross-module Ordering::Relaxed without an audit note",
-            Rule::L002 => "unwrap/expect inside spawned worker closures",
-            Rule::L003 => "Lock-acquisition-order cycle across the workspace",
-            Rule::L004 => "Blocking channel op while a lock guard is live",
             Rule::L005 => "Condvar::wait outside a predicate loop",
             Rule::L006 => "Missing # Errors/# Panics docs on public API",
             Rule::L007 => "Wildcard arm in a match on a workspace protocol enum",
             Rule::L008 => "Buffer/cache resource leaked on an early-exit path",
             Rule::L009 => "Feature declaration, forwarding chain, or gate inconsistency",
             Rule::L010 => "Metric/event drift between code and the DESIGN.md catalog",
-            Rule::L011 => "Wait-for cycle through a channel/condvar across the workspace",
-            Rule::L012 => "Blocking call reached while a lock guard is live (interprocedural)",
-            Rule::L013 => "Panic reachable from a spawned-thread root through the call graph",
+            Rule::L011 => "Cycle in the lock/channel/condvar wait-for graph across the workspace",
+            Rule::L012 => "Blocking while a lock guard is live, directly or through calls",
+            Rule::L013 => "Panic in a spawned-thread body or reachable from it through calls",
             Rule::L014 => "Unordered iteration flowing into an order-sensitive sink",
             Rule::L015 => "Nondeterministic effect reachable inside a declared deterministic zone",
             Rule::L016 => "Device I/O on a READ/WRITE path not covered by the retry layer",
@@ -170,11 +156,8 @@ impl Rule {
         }
     }
 
-    pub const ALL: [Rule; 18] = [
+    pub const ALL: [Rule; 15] = [
         Rule::L001,
-        Rule::L002,
-        Rule::L003,
-        Rule::L004,
         Rule::L005,
         Rule::L006,
         Rule::L007,
@@ -538,8 +521,8 @@ fn f(rx: Receiver<u32>) {
 }
 "#;
         let fs = lint_one("crates/core/src/worker.rs", src);
-        assert_eq!(fs.len(), 1);
-        assert_eq!(fs[0].rule, Rule::L002);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!((fs[0].rule, fs[0].line), (Rule::L013, 4));
         // Out of scope: shims may unwrap.
         assert!(lint_one("shims/crossbeam/src/channel.rs", src).is_empty());
     }
@@ -562,7 +545,12 @@ fn ba(a: &Mutex<u32>, b: &Mutex<u32>) {
 "#;
         let fs = lint_one("crates/a/src/lib.rs", src);
         assert_eq!(fs.len(), 1, "{fs:?}");
-        assert_eq!(fs[0].rule, Rule::L003);
+        assert_eq!(fs[0].rule, Rule::L011);
+        assert!(
+            fs[0].message.starts_with("lock-order cycle"),
+            "{}",
+            fs[0].message
+        );
         assert!(fs[0].message.contains("a -> b"));
         assert!(fs[0].message.contains("b -> a"));
     }
@@ -620,8 +608,14 @@ fn f(m: &Mutex<u32>, tx: &Sender<u32>) {
 }
 "#;
         let fs = lint_one("crates/a/src/lib.rs", src);
-        assert_eq!(fs.len(), 1);
-        assert_eq!(fs[0].rule, Rule::L004);
+        assert_eq!(fs.len(), 1, "{fs:?}");
+        assert_eq!((fs[0].rule, fs[0].line), (Rule::L012, 4));
+        // Either audit channel silences the site.
+        for note in ["unblock-ok: receiver never blocks", "lint-ok: L012 fixture"] {
+            let audited = src.replace("tx.send(*g);", &format!("tx.send(*g); // {note}"));
+            let fs = lint_one("crates/a/src/lib.rs", &audited);
+            assert!(fs.is_empty(), "{note}: {fs:?}");
+        }
     }
 
     #[test]
@@ -710,7 +704,7 @@ fn f(m: &Mutex<u32>, tx: &Sender<u32>) {
         let fs = lint_one("crates/a/src/lib.rs", src);
         let shown = fs[0].to_string();
         assert!(shown.contains("crates/a/src/lib.rs:4"));
-        assert!(shown.contains("[L004]"));
+        assert!(shown.contains("[L012]"));
         assert!(shown.contains("fix:"));
     }
 }

@@ -1,10 +1,10 @@
-//! The static lock-acquisition graph behind L003.
+//! The directed graph with cycle enumeration behind L011.
 //!
-//! Nodes are lock names (the receiver identifier of a `.lock()` / `.read()` /
-//! `.write()` call); a directed edge `A -> B` records that somewhere in the
-//! workspace `B` is acquired while a guard for `A` is live. A cycle in this
-//! graph is a potential deadlock: two threads can take the locks in opposite
-//! orders.
+//! `waitgraph` fills it with typed nodes: locks (the receiver identifier of
+//! a `.lock()` / `.read()` / `.write()` call), channel facets and condvars.
+//! A directed edge `A -> B` records that somewhere in the workspace a thread
+//! holding `A` waits for `B`. A cycle in this graph is a potential deadlock:
+//! over locks alone, two threads can take them in opposite orders.
 
 use std::collections::BTreeMap;
 

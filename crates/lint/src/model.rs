@@ -391,10 +391,10 @@ mod tests {
 
     #[test]
     fn annotation_lookup_same_and_previous_line() {
-        let src = "// relaxed-ok: why\nlet x = 1;\nlet y = 2; // lint-ok: L004 reason\n";
+        let src = "// relaxed-ok: why\nlet x = 1;\nlet y = 2; // lint-ok: L005 reason\n";
         let f = SourceFile::parse("a.rs", src);
         assert!(f.has_annotation(2, "relaxed-ok:"));
-        assert!(f.has_annotation(3, "lint-ok: L004"));
+        assert!(f.has_annotation(3, "lint-ok: L005"));
         assert!(!f.has_annotation(2, "lint-ok:"));
     }
 

@@ -1,26 +1,25 @@
-//! The rule catalog.
+//! The token-stream rules.
 //!
 //! | rule | checks |
 //! |------|--------|
 //! | L001 | `Ordering::Relaxed` on an atomic touched from >1 module without a `// relaxed-ok:` audit annotation |
-//! | L002 | `unwrap()` / `expect()` inside `spawn`ed closure bodies in `crates/core` and `crates/simio` |
-//! | L003 | lock-acquisition-order extraction per function + cycle detection across the workspace |
-//! | L004 | blocking channel `send` / `recv` while a lock guard is live in the same scope |
 //! | L005 | `Condvar::wait` / `wait_timeout` not wrapped in a predicate loop |
 //! | L006 | public `Result` fns / panicking fns missing `# Errors` / `# Panics` docs in `crates/types` and `crates/core` |
 //! | L007 | wildcard arm in a `match` on a workspace protocol enum (see `protocol`) |
 //! | L008 | buffer/cache resource leaked on an early-exit path (see `flow`) |
 //!
-//! L001–L006 are lexical heuristics over the token stream — deliberately so:
-//! they run in milliseconds with zero dependencies, and anything they get
-//! wrong is silenced in-source with `// lint-ok: <RULE> <reason>`, which
-//! doubles as an audit trail. L007/L008 run over the semantic layer in
-//! `parser`; the workspace-level rules L009/L010 need manifests and docs and
-//! live behind [`crate::lint_workspace`].
+//! L001, L005 and L006 are lexical heuristics over the token stream —
+//! deliberately so: they run in milliseconds with zero dependencies, and
+//! anything they get wrong is silenced in-source with `// lint-ok: <RULE>
+//! <reason>`, which doubles as an audit trail. L007/L008 run over the
+//! semantic layer in `parser`. Everything that needs to know which lock
+//! guards are live (lock order, blocking under a guard) or what a spawned
+//! thread reaches lives in the interprocedural pass (`interproc`,
+//! `waitgraph`); this module only lends it the two token helpers
+//! [`receiver_of_call`] and [`acquisition_at`].
 
 use crate::lexer::{TokKind, Token};
-use crate::lockgraph::{LockGraph, Site};
-use crate::model::{match_brace, match_paren, SourceFile};
+use crate::model::SourceFile;
 use crate::{Finding, Rule};
 use std::collections::BTreeMap;
 
@@ -49,14 +48,10 @@ fn is_ident(t: &Token, s: &str) -> bool {
     t.kind == TokKind::Ident && t.text == s
 }
 
-/// Runs every rule over the file set.
+/// Runs every token-stream rule over the file set.
 pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(l001_relaxed_cross_module(files));
-    findings.extend(l002_unwrap_in_spawn(files));
-    let (l003, l004) = l003_l004_lock_order(files);
-    findings.extend(l003);
-    findings.extend(l004);
     findings.extend(l005_condvar_predicate_loop(files));
     findings.extend(l006_missing_error_panic_docs(files));
     let enums = crate::protocol::collect_protocol_enums(files);
@@ -198,135 +193,7 @@ fn l001_relaxed_cross_module(files: &[SourceFile]) -> Vec<Finding> {
     out
 }
 
-/// L002: `unwrap()` / `expect()` inside a closure passed to `spawn(...)` in
-/// `crates/core` and `crates/simio` — a panic there kills a pipeline worker
-/// silently instead of surfacing through the scan's error channel.
-fn l002_unwrap_in_spawn(files: &[SourceFile]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in files {
-        if !(f.rel.starts_with("crates/core/src") || f.rel.starts_with("crates/simio/src")) {
-            continue;
-        }
-        let toks = &f.tokens;
-        for i in 0..toks.len() {
-            if !(is_ident(&toks[i], "spawn") && i + 1 < toks.len() && is_punct(&toks[i + 1], "(")) {
-                continue;
-            }
-            if f.in_test_code(i) {
-                continue;
-            }
-            let call_end = match_paren(toks, i + 1);
-            // Locate a closure `|…| { body }` inside the call.
-            let mut j = i + 2;
-            while j < call_end && !is_punct(&toks[j], "|") {
-                j += 1;
-            }
-            if j >= call_end {
-                continue; // no closure argument
-            }
-            // Skip the parameter list `|…|`.
-            j += 1;
-            while j < call_end && !is_punct(&toks[j], "|") {
-                j += 1;
-            }
-            j += 1;
-            // Body must be a braced block for a body range; expression
-            // closures can't hide much.
-            while j < call_end && !is_punct(&toks[j], "{") {
-                j += 1;
-            }
-            if j >= call_end {
-                continue;
-            }
-            let body_end = match_brace(toks, j).min(call_end);
-            for k in j..body_end {
-                if toks[k].kind == TokKind::Ident
-                    && (toks[k].text == "unwrap" || toks[k].text == "expect")
-                    && k >= 1
-                    && is_punct(&toks[k - 1], ".")
-                    && k + 1 < toks.len()
-                    && is_punct(&toks[k + 1], "(")
-                {
-                    let line = toks[k].line;
-                    if f.has_annotation(line, "lint-ok: L002") {
-                        continue;
-                    }
-                    out.push(Finding {
-                        rule: Rule::L002,
-                        file: f.rel.clone(),
-                        line,
-                        message: format!("`{}()` inside a spawned thread body", toks[k].text),
-                        hint: "propagate the error through the scan's error channel (send \
-                               `Err(..)` on the output channel) so the failure lands in the \
-                               ScanSummary instead of killing the worker"
-                            .to_string(),
-                    });
-                }
-            }
-        }
-    }
-    out
-}
-
 const GUARD_METHODS: &[&str] = &["lock", "read", "write"];
-
-/// L003 + L004 share the per-function scope walk: track live lock guards,
-/// build the global acquisition graph (L003) and flag blocking channel ops
-/// under a live guard (L004).
-fn l003_l004_lock_order(files: &[SourceFile]) -> (Vec<Finding>, Vec<Finding>) {
-    let mut graph = LockGraph::default();
-    let mut l004 = Vec::new();
-
-    for f in files {
-        for func in &f.functions {
-            let Some((bstart, bend)) = func.body else {
-                continue;
-            };
-            if f.in_test_code(func.sig.0) {
-                continue;
-            }
-            scan_fn_scope(f, &func.name, bstart, bend, &mut graph, &mut l004);
-        }
-    }
-
-    let mut l003 = Vec::new();
-    for cycle in graph.cycles() {
-        // One finding per cycle, anchored at its first edge; a `lint-ok:
-        // L003` on any edge site declares the order intentional and
-        // silences the cycle.
-        let silenced = cycle.iter().any(|(_, _, site)| {
-            files
-                .iter()
-                .find(|f| f.rel == site.file)
-                .is_some_and(|f| f.has_annotation(site.line, "lint-ok: L003"))
-        });
-        if silenced {
-            continue;
-        }
-        let path: Vec<String> = cycle
-            .iter()
-            .map(|(a, b, s)| format!("{a} -> {b} ({}:{} in {})", s.file, s.line, s.func))
-            .collect();
-        let first = &cycle[0].2;
-        l003.push(Finding {
-            rule: Rule::L003,
-            file: first.file.clone(),
-            line: first.line,
-            message: format!("lock-order cycle: {}", path.join(", ")),
-            hint: "acquire these locks in one global order everywhere (see DESIGN.md \
-                   'Concurrency invariants'); or annotate with `// lint-ok: L003 <reason>` \
-                   if the cycle is unreachable"
-                .to_string(),
-        });
-    }
-    (l003, l004)
-}
-
-struct ActiveGuard {
-    bound: String,
-    lock: String,
-    depth: i32,
-}
 
 /// True when the token window starting at `i` is an acquisition:
 /// `recv.lock()` / `.read()` / `.write()` with zero arguments. Returns the
@@ -343,146 +210,6 @@ pub(crate) fn acquisition_at(tokens: &[Token], i: usize) -> Option<usize> {
         Some(i)
     } else {
         None
-    }
-}
-
-fn scan_fn_scope(
-    f: &SourceFile,
-    fn_name: &str,
-    bstart: usize,
-    bend: usize,
-    graph: &mut LockGraph,
-    l004: &mut Vec<Finding>,
-) {
-    let toks = &f.tokens;
-    let mut guards: Vec<ActiveGuard> = Vec::new();
-    let mut depth = 0i32;
-    let mut i = bstart;
-    while i < bend {
-        let t = &toks[i];
-        if is_punct(t, "{") {
-            depth += 1;
-        } else if is_punct(t, "}") {
-            depth -= 1;
-            guards.retain(|g| g.depth <= depth);
-        } else if is_ident(t, "drop")
-            && i + 3 < bend
-            && is_punct(&toks[i + 1], "(")
-            && toks[i + 2].kind == TokKind::Ident
-            && is_punct(&toks[i + 3], ")")
-        {
-            let name = &toks[i + 2].text;
-            guards.retain(|g| &g.bound != name);
-            i += 4;
-            continue;
-        } else if is_ident(t, "let") {
-            // `let [mut] name = expr;` — if expr *ends* in an acquisition
-            // (optionally followed by `.expect(..)`/`.unwrap()`), the bound
-            // value is a guard that lives to the end of this block.
-            let mut j = i + 1;
-            if j < bend && is_ident(&toks[j], "mut") {
-                j += 1;
-            }
-            let bound = (j < bend && toks[j].kind == TokKind::Ident).then(|| toks[j].text.clone());
-            // Find the end of the statement at balanced depth.
-            let mut k = j;
-            let (mut p, mut br, mut bk) = (0i32, 0i32, 0i32);
-            let mut last_acq: Option<(usize, usize)> = None; // (method idx, end idx after `)`)
-            while k < bend {
-                let tk = &toks[k];
-                match tk.text.as_str() {
-                    "(" if tk.kind == TokKind::Punct => p += 1,
-                    ")" if tk.kind == TokKind::Punct => p -= 1,
-                    "{" if tk.kind == TokKind::Punct => br += 1,
-                    "}" if tk.kind == TokKind::Punct => br -= 1,
-                    "[" if tk.kind == TokKind::Punct => bk += 1,
-                    "]" if tk.kind == TokKind::Punct => bk -= 1,
-                    ";" if tk.kind == TokKind::Punct && p == 0 && br == 0 && bk == 0 => break,
-                    _ => {}
-                }
-                if let Some(m) = acquisition_at(toks, k) {
-                    record_acquisition(f, fn_name, toks, m, &guards, graph);
-                    last_acq = Some((m, m + 3));
-                }
-                k += 1;
-            }
-            // Guard-ness: acquisition is the tail of the initializer.
-            if let (Some(bound), Some((m, acq_end))) = (bound, last_acq) {
-                let mut tail = acq_end;
-                // Allow one trailing `.expect("…")` / `.unwrap()`.
-                if tail + 1 < bend
-                    && is_punct(&toks[tail], ".")
-                    && (is_ident(&toks[tail + 1], "expect") || is_ident(&toks[tail + 1], "unwrap"))
-                {
-                    if let Some(open) =
-                        (tail + 2 < bend && is_punct(&toks[tail + 2], "(")).then_some(tail + 2)
-                    {
-                        tail = match_paren(toks, open);
-                    }
-                }
-                if tail == k {
-                    let lock = receiver_of_call(toks, m).unwrap_or_else(|| "<lock>".to_string());
-                    guards.push(ActiveGuard { bound, lock, depth });
-                }
-            }
-            i = k + 1;
-            continue;
-        } else if let Some(m) = acquisition_at(toks, i) {
-            record_acquisition(f, fn_name, toks, m, &guards, graph);
-            i = m + 3;
-            continue;
-        } else if !guards.is_empty()
-            && t.kind == TokKind::Ident
-            && (t.text == "send" || t.text == "recv")
-            && i >= 1
-            && is_punct(&toks[i - 1], ".")
-            && i + 1 < bend
-            && is_punct(&toks[i + 1], "(")
-        {
-            let line = t.line;
-            if !f.has_annotation(line, "lint-ok: L004") {
-                let held: Vec<&str> = guards.iter().map(|g| g.lock.as_str()).collect();
-                l004.push(Finding {
-                    rule: Rule::L004,
-                    file: f.rel.clone(),
-                    line,
-                    message: format!(
-                        "blocking channel `{}` while holding lock guard(s) [{}]",
-                        t.text,
-                        held.join(", ")
-                    ),
-                    hint: "drop the guard before blocking (narrow the scope or `drop(guard)`), \
-                           or use a try_/timeout variant; a full channel here can deadlock the \
-                           pipeline"
-                        .to_string(),
-                });
-            }
-        }
-        i += 1;
-    }
-}
-
-fn record_acquisition(
-    f: &SourceFile,
-    fn_name: &str,
-    toks: &[Token],
-    method_idx: usize,
-    guards: &[ActiveGuard],
-    graph: &mut LockGraph,
-) {
-    let Some(new_lock) = receiver_of_call(toks, method_idx) else {
-        return;
-    };
-    for g in guards {
-        graph.add_edge(
-            g.lock.clone(),
-            new_lock.clone(),
-            Site {
-                file: f.rel.clone(),
-                line: toks[method_idx].line,
-                func: fn_name.to_string(),
-            },
-        );
     }
 }
 

@@ -15,11 +15,15 @@
 //! * `cv.wait(g)` releases the waited lock, so only *other* held guards
 //!   edge into `cv:c`; `notify_*` under `M` adds `cv:c → lock:M`.
 //!
-//! A cycle through a `chan:`/`cv:` node is an L011 finding (pure lock
-//! cycles stay L003's). Unguarded sends/recvs add no edges — if *any*
-//! producer needs the lock the cycle appears; a lock-free alternative
-//! producer is a documented source of false positives, silenced with
-//! `// lint-ok: L011 <reason>`.
+//! Every cycle is an L011 finding — over locks alone it is a lock-order
+//! inversion, through a `chan:`/`cv:` node a lock/message deadlock.
+//! Unguarded sends/recvs add no edges — if *any* producer needs the lock the
+//! cycle appears; a lock-free alternative producer is a documented source of
+//! false positives, silenced with `// lint-ok: L011 <reason>`.
+//!
+//! [`walk_node`] is the analyzer's only live-guard tracker: whatever it sees
+//! block under a guard — `send`/`recv`/`sleep`/`join`/`cv.wait` on the spot,
+//! or a call whose callee summary blocks — is an L012 finding.
 
 use crate::callgraph::{channel_name, CallGraph, Op};
 use crate::lexer::{TokKind, Token};
@@ -167,7 +171,17 @@ fn walk_node(
                     Op::Recv(chan)
                 };
                 op_edges(graph, &op, &held, &site);
-                // Same-scope send/recv under a guard is L004's report.
+                if !held.is_empty() {
+                    push_l012(
+                        l012,
+                        f,
+                        t.line,
+                        format!(
+                            "blocking channel `{name}` while holding lock guard(s) [{}]",
+                            held.join(", ")
+                        ),
+                    );
+                }
             } else if method && (name == "notify_one" || name == "notify_all") {
                 if let Some(cv) = receiver_of_call(toks, i) {
                     for l in &held {
@@ -276,8 +290,8 @@ fn push_l012(out: &mut Vec<Finding>, f: &SourceFile, line: u32, message: String)
         line,
         message,
         hint: "drop the guard before the blocking operation (narrow the scope or \
-               `drop(guard)`), or audit the site with `// unblock-ok: <reason>` if the callee \
-               cannot actually block here"
+               `drop(guard)`) or use a try_/timeout variant; audit the site with \
+               `// unblock-ok: <reason>` if it cannot actually block here"
             .to_string(),
     });
 }
@@ -343,7 +357,7 @@ mod tests {
     #[test]
     fn recv_and_send_under_same_lock_cycle_through_data_node() {
         let wa = analyze(
-            "fn consumer(m: &Mutex<u32>, work_rx: &Receiver<u32>) {\n    let g = m.lock();\n    let v = work_rx.recv(); // lint-ok: L004 test fixture\n    drop(v); drop(g);\n}\nfn producer(m: &Mutex<u32>, work_tx: &Sender<u32>) {\n    let g = m.lock();\n    work_tx.send(1); // lint-ok: L004 test fixture\n    drop(g);\n}\n",
+            "fn consumer(m: &Mutex<u32>, work_rx: &Receiver<u32>) {\n    let g = m.lock();\n    let v = work_rx.recv();\n    drop(v); drop(g);\n}\nfn producer(m: &Mutex<u32>, work_tx: &Sender<u32>) {\n    let g = m.lock();\n    work_tx.send(1);\n    drop(g);\n}\n",
         );
         let cycles = wa.graph.cycles();
         assert!(
@@ -352,6 +366,9 @@ mod tests {
                 .any(|c| c.iter().any(|(a, _, _)| a.starts_with("chan:"))),
             "{cycles:?}"
         );
+        // Both endpoints block under the guard on the spot.
+        let lines: Vec<u32> = wa.l012.iter().map(|f| f.line).collect();
+        assert_eq!(lines, [3, 8], "{:?}", wa.l012);
     }
 
     #[test]
@@ -360,9 +377,11 @@ mod tests {
         // cap facets keep the edges from closing on themselves spuriously
         // into a single-channel 2-cycle of the same facet.
         let wa = analyze(
-            "fn pump(m: &Mutex<u32>, a_tx: &Sender<u32>, b_rx: &Receiver<u32>) {\n    let g = m.lock();\n    a_tx.send(1); // lint-ok: L004 test fixture\n    drop(g);\n}\n",
+            "fn pump(m: &Mutex<u32>, a_tx: &Sender<u32>, b_rx: &Receiver<u32>) {\n    let g = m.lock();\n    a_tx.send(1);\n    drop(g);\n}\n",
         );
         assert!(wa.graph.cycles().is_empty());
+        assert_eq!(wa.l012.len(), 1, "{:?}", wa.l012);
+        assert!(wa.l012[0].message.contains("`send`"));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Seeded-violation self-tests: every semantic rule (L007–L014) must catch
+//! Seeded-violation self-tests: every semantic rule (L007–L018) must catch
 //! a deliberately planted bug in a miniature fixture workspace, end-to-end
 //! through the public [`scanraw_lint::lint_workspace`] API. If a rule ever
 //! stops firing on its canonical bug, these fail before the real workspace
@@ -283,14 +283,14 @@ fn l011_catches_lock_channel_cycle() {
             "crates/core/src/pump.rs",
             r#"fn consumer(state: &Mutex<u32>, work_rx: &Receiver<u32>) {
     let g = state.lock();
-    let v = work_rx.recv(); // lint-ok: L004 fixture
+    let v = work_rx.recv();
     drop(v);
     drop(g);
 }
 
 fn producer(state: &Mutex<u32>, work_tx: &Sender<u32>) {
     let g = state.lock();
-    work_tx.send(1); // lint-ok: L004 fixture
+    work_tx.send(1);
     drop(g);
 }
 "#,
@@ -302,6 +302,13 @@ fn producer(state: &Mutex<u32>, work_tx: &Sender<u32>) {
     let l011: Vec<_> = findings.iter().filter(|f| f.rule == Rule::L011).collect();
     assert_eq!(l011.len(), 1, "{findings:?}");
     assert!(l011[0].message.contains("cycle"), "{}", l011[0].message);
+    // Each guarded endpoint is also an L012 site of its own.
+    let l012: Vec<u32> = findings
+        .iter()
+        .filter(|f| f.rule == Rule::L012)
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(l012, [3, 10], "{findings:?}");
 }
 
 #[test]
@@ -340,7 +347,7 @@ fn l011_clean_when_producer_sends_outside_lock() {
             "crates/core/src/pump.rs",
             r#"fn consumer(state: &Mutex<u32>, work_rx: &Receiver<u32>) {
     let g = state.lock();
-    let v = work_rx.recv(); // lint-ok: L004 fixture
+    let v = work_rx.recv();
     drop(v);
     drop(g);
 }
@@ -356,8 +363,9 @@ fn producer(state: &Mutex<u32>, work_tx: &Sender<u32>) {
         &[],
     );
     let findings = lint_workspace(&fixture);
-    let l011: Vec<_> = findings.iter().filter(|f| f.rule == Rule::L011).collect();
-    assert!(l011.is_empty(), "{findings:?}");
+    // No cycle; what remains is the consumer's guarded `recv`.
+    assert_eq!(findings.len(), 1, "{findings:?}");
+    assert_eq!((findings[0].rule, findings[0].line), (Rule::L012, 3));
 }
 
 // ---------------------------------------------------------------------------
@@ -502,6 +510,24 @@ fn check(n: u32) {
     let l013: Vec<_> = findings.iter().filter(|f| f.rule == Rule::L013).collect();
     assert_eq!(l013.len(), 1, "{findings:?}");
     assert!(l013[0].message.contains("panic"), "{}", l013[0].message);
+}
+
+#[test]
+fn l013_catches_unwrap_in_the_spawn_closure_itself_in_every_pipeline_crate() {
+    let src = "fn run(rx: Receiver<u32>) {\n    thread::spawn(move || {\n        let v = rx.recv().unwrap();\n        drop(v);\n    });\n}\n";
+    for rel in [
+        "crates/engine/src/serve.rs",
+        "crates/storage/src/x.rs",
+        "crates/obs/src/x.rs",
+        "crates/core/src/x.rs",
+    ] {
+        let findings = lint_workspace(&ws(&[(rel, src)], &[], &[]));
+        assert_eq!(findings.len(), 1, "{rel}: {findings:?}");
+        assert_eq!((findings[0].rule, findings[0].line), (Rule::L013, 3));
+    }
+    // Out of scope: shims may unwrap.
+    let findings = lint_workspace(&ws(&[("shims/crossbeam/src/channel.rs", src)], &[], &[]));
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
@@ -981,5 +1007,10 @@ fn every_rule_has_explain_text_and_round_trips() {
             text.contains("Escape:"),
             "{id}: explain text needs an Escape section"
         );
+    }
+    // Retired ids stay retired: their checks live on in L013/L011/L012, and
+    // nothing was renumbered into the gap.
+    for id in ["L002", "L003", "L004"] {
+        assert_eq!(Rule::from_id(id), None, "{id} is retired");
     }
 }

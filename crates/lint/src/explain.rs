@@ -1,16 +1,79 @@
-//! One authoritative explanation per rule, readable two ways: as the
-//! rustdoc on each constant *and* as the string `cargo xtask lint
-//! --explain L0NN` prints. The `rule_doc!` macro emits both from the same
-//! doc-comment lines, so the printed text cannot drift from the docs.
+//! The rule table: one row per rule, and the only place rules are listed.
+//! A row is the rule's doc comment, its id, and its one-line description;
+//! `rule_table!` turns the rows into the [`Rule`] enum (the doc comment is
+//! the variant's rustdoc) *and* into the `const` table behind
+//! [`Rule::id`], [`Rule::description`], [`Rule::explain`] and [`Rule::ALL`]
+//! — so what `cargo xtask lint --explain L0NN` prints cannot drift from the
+//! docs, and a rule cannot exist without its row.
+//!
+//! Ids are never reused: L002–L004 are retired (their checks are part of
+//! L013, L011 and L012).
 
-macro_rules! rule_doc {
-    ($(#[doc = $d:expr])* $name:ident) => {
-        $(#[doc = $d])*
-        pub const $name: &str = concat!($($d, "\n"),*);
+use std::fmt;
+
+/// One row of the rule table.
+struct Row {
+    rule: Rule,
+    id: &'static str,
+    description: &'static str,
+    explain: &'static str,
+}
+
+macro_rules! rule_table {
+    ($($(#[doc = $doc:expr])* $rule:ident = $description:literal;)*) => {
+        /// Rule identifiers, one per check in the catalog.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+        pub enum Rule {
+            $($(#[doc = $doc])* $rule,)*
+        }
+
+        /// In declaration order, so `rule as usize` indexes it.
+        const TABLE: &[Row] = &[$(Row {
+            rule: Rule::$rule,
+            id: stringify!($rule),
+            description: $description,
+            explain: concat!($($doc, "\n"),*),
+        },)*];
+
+        impl Rule {
+            pub const ALL: [Rule; TABLE.len()] = [$(Rule::$rule),*];
+        }
     };
 }
 
-rule_doc! {
+impl Rule {
+    fn row(self) -> &'static Row {
+        &TABLE[self as usize]
+    }
+
+    pub fn id(self) -> &'static str {
+        self.row().id
+    }
+
+    /// Parses a rule id (`"L011"`); retired and unknown ids are `None`.
+    pub fn from_id(id: &str) -> Option<Rule> {
+        TABLE.iter().find(|row| row.id == id).map(|row| row.rule)
+    }
+
+    /// One-line rule description.
+    pub fn description(self) -> &'static str {
+        self.row().description
+    }
+
+    /// The full rationale/example/escape-hatch text for `--explain`: the
+    /// variant's own doc comment.
+    pub fn explain(self) -> &'static str {
+        self.row().explain
+    }
+}
+
+impl fmt::Display for Rule {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.id())
+    }
+}
+
+rule_table! {
     /// L001 — cross-module `Ordering::Relaxed` without an audit note.
     ///
     /// Why: a Relaxed atomic shared across modules is usually meant to
@@ -22,10 +85,8 @@ rule_doc! {
     ///
     /// Escape: `// relaxed-ok: <reason>` on the site or the line above,
     /// when the value is a statistic and staleness is acceptable.
-    L001
-}
+    L001 = "Cross-module Ordering::Relaxed without an audit note";
 
-rule_doc! {
     /// L005 — `Condvar::wait` outside a predicate loop.
     ///
     /// Why: condition variables wake spuriously and after missed
@@ -34,10 +95,8 @@ rule_doc! {
     /// Example: `let g = cv.wait(g);` not wrapped in `while !*g { … }`.
     ///
     /// Escape: `// lint-ok: L005 <reason>` (rarely right).
-    L005
-}
+    L005 = "Condvar::wait outside a predicate loop";
 
-rule_doc! {
     /// L006 — missing `# Errors`/`# Panics` docs on public API
     /// (crates/types, crates/core).
     ///
@@ -45,10 +104,8 @@ rule_doc! {
     /// panics into callers that believed the API total.
     ///
     /// Escape: `// lint-ok: L006 <reason>`; prefer writing the section.
-    L006
-}
+    L006 = "Missing # Errors/# Panics docs on public API";
 
-rule_doc! {
     /// L007 — wildcard arm in a `match` on a workspace protocol enum
     /// (`*Event`/`*Cmd`/`*Msg`/`*Cause`/`*Error`).
     ///
@@ -56,10 +113,8 @@ rule_doc! {
     /// fail to compile when the protocol grows.
     ///
     /// Escape: `// lint-ok: L007 <reason>`; prefer listing every variant.
-    L007
-}
+    L007 = "Wildcard arm in a match on a workspace protocol enum";
 
-rule_doc! {
     /// L008 — buffer/cache resource leaked on an early-exit path.
     ///
     /// Why: a popped/taken/acquired resource that an early `return`, `?`,
@@ -68,10 +123,8 @@ rule_doc! {
     ///
     /// Escape: `// lint-ok: L008 <reason>`; prefer restructuring so every
     /// path hands the value off.
-    L008
-}
+    L008 = "Buffer/cache resource leaked on an early-exit path";
 
-rule_doc! {
     /// L009 — feature declaration, forwarding chain, or gate inconsistency.
     ///
     /// Why: a `cfg(feature)` on an undeclared feature silently compiles
@@ -80,20 +133,16 @@ rule_doc! {
     ///
     /// Escape: baseline entry (Cargo.toml has no comment channel); prefer
     /// fixing the declaration.
-    L009
-}
+    L009 = "Feature declaration, forwarding chain, or gate inconsistency";
 
-rule_doc! {
     /// L010 — metric/event drift between code and the DESIGN.md catalog.
     ///
     /// Why: the observability catalog is the contract dashboards and tests
     /// read; an unregistered metric or a stale catalog row both lie.
     ///
     /// Escape: baseline entry; prefer updating DESIGN.md's catalog markers.
-    L010
-}
+    L010 = "Metric/event drift between code and the DESIGN.md catalog";
 
-rule_doc! {
     /// L011 — cycle in the wait-for graph of locks, channels and condvars,
     /// across crates.
     ///
@@ -115,10 +164,8 @@ rule_doc! {
     /// keeps the channel live. The global lock order lives in DESIGN.md
     /// "Concurrency invariants". L011 cannot be baselined: fix or audit in
     /// source.
-    L011
-}
+    L011 = "Cycle in the lock/channel/condvar wait-for graph across the workspace";
 
-rule_doc! {
     /// L012 — blocking while a lock guard is live, directly or through calls.
     ///
     /// Why: a full (or empty) channel, a `sleep`, a `join` or a condvar wait
@@ -139,10 +186,8 @@ rule_doc! {
     /// on the site, when it cannot actually block here; prefer dropping the
     /// guard or a try_/timeout variant. L012 cannot be baselined: fix or
     /// audit in source.
-    L012
-}
+    L012 = "Blocking while a lock guard is live, directly or through calls";
 
-rule_doc! {
     /// L013 — panic on a spawned thread: in the closure or anything it calls.
     ///
     /// Why: a panic in a worker thread kills it silently; the scan hangs or
@@ -161,10 +206,8 @@ rule_doc! {
     /// Escape: `// lint-ok: L013 <reason>` on the panic site, when the
     /// invariant provably holds on every worker path; prefer sending
     /// `Err(..)` on the scan's output channel.
-    L013
-}
+    L013 = "Panic in a spawned-thread body or reachable from it through calls";
 
-rule_doc! {
     /// L014 — unordered iteration flowing into an order-sensitive sink.
     ///
     /// Why: the serial≡parallel differential guarantee and the journal/
@@ -178,10 +221,8 @@ rule_doc! {
     ///
     /// Escape: `// lint-ok: L014 <reason>` on the iteration site, when the
     /// sink is provably order-insensitive.
-    L014
-}
+    L014 = "Unordered iteration flowing into an order-sensitive sink";
 
-rule_doc! {
     /// L015 — nondeterministic effect reachable inside a declared
     /// deterministic zone.
     ///
@@ -201,10 +242,8 @@ rule_doc! {
     /// Escape: `// effect-ok: <reason>` on the seed site removes that seed
     /// from inference everywhere (it is audited); `// lint-ok: L015
     /// <reason>` on the zone fn silences the zone.
-    L015
-}
+    L015 = "Nondeterministic effect reachable inside a declared deterministic zone";
 
-rule_doc! {
     /// L016 — device I/O on a READ/WRITE path not covered by the retry
     /// layer.
     ///
@@ -224,10 +263,8 @@ rule_doc! {
     /// deliberately bypasses retry (e.g. startup recovery that treats any
     /// failure as corruption). L016 cannot be baselined: fix or audit in
     /// source.
-    L016
-}
+    L016 = "Device I/O on a READ/WRITE path not covered by the retry layer";
 
-rule_doc! {
     /// L017 — workspace `Result` silently discarded in a pipeline crate.
     ///
     /// Why: an error that is dropped (`let _ = flush(..)`), chained into an
@@ -241,10 +278,8 @@ rule_doc! {
     ///
     /// Escape: `// lint-ok: L017 <reason>` on the call site, when the
     /// fallback is the designed degradation and is observable elsewhere.
-    L017
-}
+    L017 = "Workspace Result silently discarded in a pipeline crate";
 
-rule_doc! {
     /// L018 — effect-contract drift between code and the DESIGN.md effect
     /// catalog.
     ///
@@ -262,5 +297,5 @@ rule_doc! {
     ///
     /// Escape: update the catalog block (the usual fix), or `// lint-ok:
     /// L018 <reason>` on the seed site for a deliberate one-off.
-    L018
+    L018 = "Effect-contract drift between code and the DESIGN.md effect catalog";
 }

@@ -36,150 +36,11 @@ pub mod resultflow;
 pub mod rules;
 pub mod waitgraph;
 
+pub use explain::Rule;
 use model::SourceFile;
 use std::fmt;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
-
-/// Rule identifiers, one per check in the catalog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Rule {
-    /// Cross-module `Ordering::Relaxed` without a `relaxed-ok:` audit note.
-    L001,
-    /// `Condvar::wait` outside a predicate loop.
-    L005,
-    /// Missing `# Errors`/`# Panics` docs on public API (types, core).
-    L006,
-    /// Wildcard arm in a `match` on a workspace protocol enum.
-    L007,
-    /// Buffer/cache resource leaked on an early-exit path.
-    L008,
-    /// Feature-gate inconsistency: undeclared feature, broken forwarding
-    /// chain, or gated pub item without a compiled-off story.
-    L009,
-    /// Observability-catalog drift: metric/event used but not documented in
-    /// DESIGN.md, or documented but unused.
-    L010,
-    /// Cycle in the unified lock+channel+condvar wait-for graph
-    /// (cross-crate): a lock-order inversion or a lock/message deadlock.
-    L011,
-    /// Blocking operation while a lock guard is live, directly or through
-    /// any number of calls.
-    L012,
-    /// Panic site in a spawned closure or reachable from it via the call
-    /// graph.
-    L013,
-    /// Unordered `HashMap`/`HashSet` iteration flowing into an
-    /// order-sensitive sink (merge, output, journal/trace export).
-    L014,
-    /// Wall-clock/entropy/environment effect transitively reachable inside
-    /// a declared deterministic zone (`// lint-zone: deterministic`).
-    L015,
-    /// Device I/O on a READ/WRITE-path crate not dominated by a
-    /// `with_retry` wrapper call.
-    L016,
-    /// Workspace `Result` silently discarded (`let _ =`, bare `.ok()`,
-    /// `.unwrap_or*`) in a pipeline crate.
-    L017,
-    /// Effect-contract drift: a crate's effects disagree with its declared
-    /// set in the DESIGN.md effect catalog.
-    L018,
-}
-
-impl Rule {
-    pub fn id(self) -> &'static str {
-        match self {
-            Rule::L001 => "L001",
-            Rule::L005 => "L005",
-            Rule::L006 => "L006",
-            Rule::L007 => "L007",
-            Rule::L008 => "L008",
-            Rule::L009 => "L009",
-            Rule::L010 => "L010",
-            Rule::L011 => "L011",
-            Rule::L012 => "L012",
-            Rule::L013 => "L013",
-            Rule::L014 => "L014",
-            Rule::L015 => "L015",
-            Rule::L016 => "L016",
-            Rule::L017 => "L017",
-            Rule::L018 => "L018",
-        }
-    }
-
-    /// Parses a rule id (`"L011"`). Used by `--explain` and the baseline
-    /// guard.
-    pub fn from_id(id: &str) -> Option<Rule> {
-        Rule::ALL.iter().copied().find(|r| r.id() == id)
-    }
-
-    /// The full rationale/example/escape-hatch text for `--explain`,
-    /// sourced from the same doc block rustdoc renders (see [`explain`]).
-    pub fn explain(self) -> &'static str {
-        match self {
-            Rule::L001 => explain::L001,
-            Rule::L005 => explain::L005,
-            Rule::L006 => explain::L006,
-            Rule::L007 => explain::L007,
-            Rule::L008 => explain::L008,
-            Rule::L009 => explain::L009,
-            Rule::L010 => explain::L010,
-            Rule::L011 => explain::L011,
-            Rule::L012 => explain::L012,
-            Rule::L013 => explain::L013,
-            Rule::L014 => explain::L014,
-            Rule::L015 => explain::L015,
-            Rule::L016 => explain::L016,
-            Rule::L017 => explain::L017,
-            Rule::L018 => explain::L018,
-        }
-    }
-
-    /// One-line rule description, used by the SARIF rule table.
-    pub fn description(self) -> &'static str {
-        match self {
-            Rule::L001 => "Cross-module Ordering::Relaxed without an audit note",
-            Rule::L005 => "Condvar::wait outside a predicate loop",
-            Rule::L006 => "Missing # Errors/# Panics docs on public API",
-            Rule::L007 => "Wildcard arm in a match on a workspace protocol enum",
-            Rule::L008 => "Buffer/cache resource leaked on an early-exit path",
-            Rule::L009 => "Feature declaration, forwarding chain, or gate inconsistency",
-            Rule::L010 => "Metric/event drift between code and the DESIGN.md catalog",
-            Rule::L011 => "Cycle in the lock/channel/condvar wait-for graph across the workspace",
-            Rule::L012 => "Blocking while a lock guard is live, directly or through calls",
-            Rule::L013 => "Panic in a spawned-thread body or reachable from it through calls",
-            Rule::L014 => "Unordered iteration flowing into an order-sensitive sink",
-            Rule::L015 => "Nondeterministic effect reachable inside a declared deterministic zone",
-            Rule::L016 => "Device I/O on a READ/WRITE path not covered by the retry layer",
-            Rule::L017 => "Workspace Result silently discarded in a pipeline crate",
-            Rule::L018 => "Effect-contract drift between code and the DESIGN.md effect catalog",
-        }
-    }
-
-    pub const ALL: [Rule; 15] = [
-        Rule::L001,
-        Rule::L005,
-        Rule::L006,
-        Rule::L007,
-        Rule::L008,
-        Rule::L009,
-        Rule::L010,
-        Rule::L011,
-        Rule::L012,
-        Rule::L013,
-        Rule::L014,
-        Rule::L015,
-        Rule::L016,
-        Rule::L017,
-        Rule::L018,
-    ];
-}
-
-impl fmt::Display for Rule {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.id())
-    }
-}
 
 /// One unsilenced finding.
 #[derive(Debug, Clone)]

@@ -1008,6 +1008,8 @@ fn every_rule_has_explain_text_and_round_trips() {
             "{id}: explain text needs an Escape section"
         );
     }
+    // One row per rule, in id order.
+    assert!(Rule::ALL.windows(2).all(|w| w[0].id() < w[1].id()));
     // Retired ids stay retired: their checks live on in L013/L011/L012, and
     // nothing was renumbered into the gap.
     for id in ["L002", "L003", "L004"] {

@@ -124,7 +124,10 @@ fn task_lint(args: &[String]) -> ExitCode {
     };
     if let Some(id) = &opts.explain {
         let Some(rule) = scanraw_lint::Rule::from_id(id) else {
-            eprintln!("xtask lint: unknown rule `{id}` (expected L001-L018)");
+            eprintln!("xtask lint: unknown rule `{id}`; the rules are:");
+            for rule in scanraw_lint::Rule::ALL {
+                eprintln!("  {rule}  {}", rule.description());
+            }
             return ExitCode::FAILURE;
         };
         print!("{}", rule.explain());

@@ -65,25 +65,13 @@ impl fmt::Display for Finding {
 }
 
 /// Lints in-memory sources; `files` is `(workspace-relative path, contents)`.
-/// This is the pure core — the tests and the xtask binary both go through it.
-/// Runs the source-only rules (L001–L008, plus the interprocedural
-/// L011–L013 with same-crate-only resolution, L014, the effect rules
-/// L015/L016, and L017); the workspace-level rules need manifests and docs
-/// too — see [`lint_workspace`].
+/// [`lint_workspace`] over sources alone: every pass that reads manifests
+/// or docs is a no-op without them, and call resolution stays same-crate.
 pub fn lint_sources(files: &[(String, String)]) -> Vec<Finding> {
-    let parsed: Vec<SourceFile> = files
-        .iter()
-        .map(|(rel, src)| SourceFile::parse(rel.clone(), src))
-        .collect();
-    let mut findings = rules::run_all(&parsed);
-    let cg = interproc::check(&parsed, &[], &mut findings);
-    for f in &parsed {
-        determinism::check_file(f, &mut findings);
-    }
-    effects::check(&parsed, &cg, &[], &mut findings);
-    resultflow::check(&parsed, &mut findings);
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    findings
+    lint_workspace(&WorkspaceFiles {
+        sources: files.to_vec(),
+        ..WorkspaceFiles::default()
+    })
 }
 
 /// Everything the full analyzer consumes, all as
@@ -149,12 +137,13 @@ fn parse_parallel(sources: &[(String, String)]) -> Vec<SourceFile> {
     })
 }
 
-/// Runs the full rule set — L001–L008 over sources, the interprocedural
-/// L011–L013 and per-file L014, the effect-inference rules L015/L016/L018
-/// and the Result-flow pass L017, L009 over sources + manifests, L010 over
-/// sources + docs — and reports per-phase timing plus the call-graph and
-/// effect-graph dumps. Findings come back sorted by (file, line, rule),
-/// which makes every output format byte-stable.
+/// The analyzer's one pipeline, which every entry point runs: the
+/// token-stream rules, the interprocedural pass (wait-for graph, blocking
+/// under a guard, panics on spawned threads), per-file determinism, effect
+/// inference and Result flow, then the manifest- and catalog-level checks.
+/// Reports per-phase timing plus the call-graph and effect-graph dumps.
+/// Findings come back sorted by (file, line, rule), which makes every
+/// output format byte-stable.
 pub fn lint_workspace_report(ws: &WorkspaceFiles) -> LintReport {
     let mut timing = Vec::new();
     let mut timed = |name: &'static str, start: Instant| {
@@ -308,19 +297,10 @@ pub fn collect_workspace(root: &Path) -> std::io::Result<WorkspaceFiles> {
     Ok(ws)
 }
 
-/// Lints the workspace rooted at `root` with the full rule set. Returns the
-/// findings; the caller decides the exit code.
-///
-/// # Errors
-///
-/// Returns `Err` when workspace sources cannot be read from disk.
-pub fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
-    let ws = collect_workspace(root)?;
-    Ok(lint_workspace(&ws))
-}
-
-/// Like [`run`], but returns the full report (timing + call-graph DOT) with
-/// the workspace-collection phase included in the timing breakdown.
+/// Lints the workspace rooted at `root` with the full rule set and returns
+/// the full report (findings, call-graph and effect-graph DOT, timing with
+/// the workspace-collection phase included); the caller decides the exit
+/// code.
 ///
 /// # Errors
 ///

@@ -39,8 +39,8 @@ fn esc(s: &str) -> String {
     out
 }
 
-/// The versioned JSON report. Findings keep their (file, line, rule) sort
-/// from `run_all`, so the output is byte-stable for a given workspace.
+/// The versioned JSON report. Findings keep the (file, line, rule) sort
+/// they arrive in, so the output is byte-stable for a given workspace.
 pub fn to_json(findings: &[Finding]) -> String {
     let mut by_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
     for f in findings {

@@ -48,7 +48,7 @@ fn is_ident(t: &Token, s: &str) -> bool {
     t.kind == TokKind::Ident && t.text == s
 }
 
-/// Runs every token-stream rule over the file set.
+/// Runs every token-stream rule over the file set; the caller sorts.
 pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(l001_relaxed_cross_module(files));
@@ -59,7 +59,6 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
         crate::protocol::check_file(f, &enums, &mut findings);
         crate::flow::check_file(f, &mut findings);
     }
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     findings
 }
 

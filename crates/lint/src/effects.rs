@@ -23,7 +23,7 @@
 //!   neither lexically inside a retry-wrapper call (`with_retry`, or a
 //!   forwarding wrapper like `io_retry` detected by fixed point) nor in a
 //!   function whose every caller reaches it under such a wrapper. This is
-//!   the PR 3 fault-tolerance contract, made static. Unbaselineable.
+//!   the PR 3 fault-tolerance contract, made static.
 //! * **L018** — per-crate effect contracts: DESIGN.md declares each
 //!   crate's allowed effect set in a `<!-- lint-catalog:effects -->`
 //!   fenced block; an undeclared effect *and* a stale declaration both
@@ -581,7 +581,7 @@ fn l016_retry_coverage(
                 ),
                 hint: "wrap the operation in `with_retry` (or a forwarding wrapper like \
                        `io_retry`) so transient device faults are absorbed, or audit with \
-                       `// lint-ok: L016 <reason>`; L016 cannot be baselined"
+                       `// lint-ok: L016 <reason>`"
                     .to_string(),
             });
         }

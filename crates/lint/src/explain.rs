@@ -131,8 +131,8 @@ rule_table! {
     /// out; a missing forward (`dep/feat`) makes a workspace feature
     /// half-enabled.
     ///
-    /// Escape: baseline entry (Cargo.toml has no comment channel); prefer
-    /// fixing the declaration.
+    /// Escape: `// lint-ok: L009 <reason>` on a source-level finding; a
+    /// manifest-level one has no escape — fix the declaration.
     L009 = "Feature declaration, forwarding chain, or gate inconsistency";
 
     /// L010 — metric/event drift between code and the DESIGN.md catalog.
@@ -140,7 +140,8 @@ rule_table! {
     /// Why: the observability catalog is the contract dashboards and tests
     /// read; an unregistered metric or a stale catalog row both lie.
     ///
-    /// Escape: baseline entry; prefer updating DESIGN.md's catalog markers.
+    /// Escape: `// lint-ok: L010 <reason>` on a source-level finding; a
+    /// catalog-side one has no escape — update DESIGN.md's catalog block.
     L010 = "Metric/event drift between code and the DESIGN.md catalog";
 
     /// L011 — cycle in the wait-for graph of locks, channels and condvars,
@@ -162,8 +163,7 @@ rule_table! {
     /// Escape: `// lint-ok: L011 <reason>` on an edge site — only when the
     /// two orders are provably never concurrent, or an unguarded producer
     /// keeps the channel live. The global lock order lives in DESIGN.md
-    /// "Concurrency invariants". L011 cannot be baselined: fix or audit in
-    /// source.
+    /// "Concurrency invariants".
     L011 = "Cycle in the lock/channel/condvar wait-for graph across the workspace";
 
     /// L012 — blocking while a lock guard is live, directly or through calls.
@@ -184,8 +184,7 @@ rule_table! {
     ///
     /// Escape: `// unblock-ok: <reason>` (or `// lint-ok: L012 <reason>`)
     /// on the site, when it cannot actually block here; prefer dropping the
-    /// guard or a try_/timeout variant. L012 cannot be baselined: fix or
-    /// audit in source.
+    /// guard or a try_/timeout variant.
     L012 = "Blocking while a lock guard is live, directly or through calls";
 
     /// L013 — panic on a spawned thread: in the closure or anything it calls.
@@ -261,8 +260,7 @@ rule_table! {
     ///
     /// Escape: `// lint-ok: L016 <reason>` on the I/O site, when the path
     /// deliberately bypasses retry (e.g. startup recovery that treats any
-    /// failure as corruption). L016 cannot be baselined: fix or audit in
-    /// source.
+    /// failure as corruption).
     L016 = "Device I/O on a READ/WRITE path not covered by the retry layer";
 
     /// L017 — workspace `Result` silently discarded in a pipeline crate.

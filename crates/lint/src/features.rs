@@ -16,8 +16,8 @@
 //!   itself sit under the same gate; otherwise the default build breaks.
 //!
 //! Source-level findings are silenced with `// lint-ok: L009 <reason>`;
-//! manifest-level findings (Cargo.toml has no lint comments) go through the
-//! baseline file.
+//! manifest-level findings (Cargo.toml has no lint comments) are fixed in
+//! the manifest.
 
 use crate::lexer::TokKind;
 use crate::manifest::Manifest;

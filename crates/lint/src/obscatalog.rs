@@ -19,8 +19,8 @@
 //! and `*` segment wildcards (`disk.{read,write}.ops`,
 //! `pipeline.stage.*.nanos`); runtime-formatted names (`format!` with `{}`)
 //! match wildcard segments. Source findings are silenced with
-//! `// lint-ok: L010 <reason>`; catalog-side findings go through the
-//! baseline file.
+//! `// lint-ok: L010 <reason>`; catalog-side findings are fixed in the
+//! catalog block.
 
 use crate::lexer::TokKind;
 use crate::model::SourceFile;

@@ -1,9 +1,10 @@
-//! Golden-file tests for the machine-readable output formats.
+//! Golden-file tests for the machine-readable outputs.
 //!
 //! One fixture workspace with a violation from each semantic rule family is
-//! linted, formatted as JSON and SARIF, and compared byte-for-byte against
-//! checked-in golden files — which pins both the report schema and the
-//! (file, line, rule) finding order. Regenerate deliberately with:
+//! linted; its JSON report and its call-graph and effect-graph dumps are
+//! compared byte-for-byte against checked-in golden files — which pins both
+//! the report schema and the (file, line, rule) finding order. Regenerate
+//! deliberately with:
 //!
 //! ```sh
 //! UPDATE_GOLDEN=1 cargo test -p scanraw-lint --test golden
@@ -302,60 +303,6 @@ fn json_output_matches_golden_and_parses() {
 }
 
 #[test]
-fn sarif_output_matches_golden_and_parses() {
-    let findings = fixture_findings();
-    let out = output::to_sarif(&findings);
-    check_golden("report.sarif", &out);
-
-    let doc = json::parse(&out).expect("SARIF must be valid JSON");
-    assert_eq!(doc.get("version").and_then(|v| v.as_str()), Some("2.1.0"));
-    let runs = doc.get("runs").and_then(|v| v.as_array()).expect("runs");
-    assert_eq!(runs.len(), 1);
-    let driver = runs[0]
-        .get("tool")
-        .and_then(|t| t.get("driver"))
-        .expect("tool.driver");
-    assert_eq!(
-        driver.get("name").and_then(|v| v.as_str()),
-        Some("scanraw-lint")
-    );
-    let rules = driver
-        .get("rules")
-        .and_then(|v| v.as_array())
-        .expect("rule table");
-    assert_eq!(
-        rules.len(),
-        scanraw_lint::Rule::ALL.len(),
-        "every rule in the table"
-    );
-    let results = runs[0]
-        .get("results")
-        .and_then(|v| v.as_array())
-        .expect("results");
-    assert_eq!(results.len(), findings.len());
-    for r in results {
-        assert!(r.get("ruleId").and_then(|v| v.as_str()).is_some());
-        assert_eq!(r.get("level").and_then(|v| v.as_str()), Some("error"));
-        let loc = r
-            .get("locations")
-            .and_then(|v| v.as_array())
-            .and_then(|a| a.first())
-            .and_then(|l| l.get("physicalLocation"))
-            .expect("physicalLocation");
-        assert!(loc
-            .get("artifactLocation")
-            .and_then(|a| a.get("uri"))
-            .and_then(|v| v.as_str())
-            .is_some());
-        assert!(loc
-            .get("region")
-            .and_then(|r| r.get("startLine"))
-            .and_then(|v| v.as_u64())
-            .is_some());
-    }
-}
-
-#[test]
 fn callgraph_dot_matches_golden() {
     let report = scanraw_lint::lint_workspace_report(&fixture_ws());
     let dot = &report.callgraph_dot;
@@ -410,7 +357,7 @@ fn effects_dot_matches_golden() {
 }
 
 #[test]
-fn empty_report_is_valid_json_in_both_formats() {
+fn empty_report_is_valid_json() {
     let j = json::parse(&output::to_json(&[])).expect("empty JSON report parses");
     assert_eq!(
         j.get("summary")
@@ -418,13 +365,4 @@ fn empty_report_is_valid_json_in_both_formats() {
             .and_then(|v| v.as_u64()),
         Some(0)
     );
-    let s = json::parse(&output::to_sarif(&[])).expect("empty SARIF parses");
-    let results = s
-        .get("runs")
-        .and_then(|v| v.as_array())
-        .and_then(|a| a.first())
-        .and_then(|r| r.get("results"))
-        .and_then(|v| v.as_array())
-        .expect("results array");
-    assert!(results.is_empty());
 }

@@ -1,8 +1,9 @@
 //! Workspace automation: `cargo xtask <task>`.
 //!
 //! Tasks:
-//! - `lint` — run the scanraw-lint analyzer (rules L001–L018) over the
-//!   workspace and exit non-zero on any unsilenced, unbaselined finding.
+//! - `lint` — run the scanraw-lint analyzer (every rule in its table, see
+//!   `--explain`) over the workspace and exit non-zero on any finding not
+//!   audited in source.
 //! - `bench` — run the repository's one benchmark (`perfbench/`, described
 //!   by `BENCHMARK.json`): every workload once at seed 1, end-to-end
 //!   metrics (`--trace 0`), each run ending in its JSON result line. Pass
@@ -13,16 +14,10 @@
 //!   (`scanraw.folded`). Pass `--smoke` for the small CI configuration.
 //!
 //! `lint` options:
-//! - `--format text|json|sarif|github|callgraph|effects` — output format
+//! - `--format text|json|github|callgraph|effects` — output format
 //!   (default `text`; `callgraph` prints the resolved call graph as DOT,
 //!   `effects` the effect-annotated call graph as DOT)
 //! - `--output <path>` — additionally write the JSON report to `<path>`
-//! - `--baseline <path>` — baseline file (default `lint-baseline.txt` at the
-//!   workspace root when it exists). L011/L012/L016 findings can never be
-//!   baselined — fix them or audit the site in source.
-//! - `--no-baseline` — ignore any baseline file
-//! - `--update-baseline` — rewrite the baseline to accept current findings
-//!   (except L011/L012/L016, which are refused)
 //! - `--timing` — print the per-phase wall-clock breakdown to stderr
 //! - `--budget-ms <n>` — fail when the full analysis (all phases) exceeds
 //!   `n` milliseconds; implies `--timing`. CI enforces 2000.
@@ -36,8 +31,6 @@ use std::process::ExitCode;
 
 use scanraw_lint::output;
 
-const DEFAULT_BASELINE: &str = "lint-baseline.txt";
-
 fn workspace_root() -> PathBuf {
     // xtask/ sits directly under the workspace root.
     let manifest = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
@@ -47,9 +40,6 @@ fn workspace_root() -> PathBuf {
 struct LintOpts {
     format: String,
     output: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    no_baseline: bool,
-    update_baseline: bool,
     timing: bool,
     budget_ms: Option<u64>,
     explain: Option<String>,
@@ -59,9 +49,6 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
     let mut opts = LintOpts {
         format: "text".to_string(),
         output: None,
-        baseline: None,
-        no_baseline: false,
-        update_baseline: false,
         timing: false,
         budget_ms: None,
         explain: None,
@@ -73,11 +60,11 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
                 let v = it.next().ok_or("--format needs a value")?;
                 if !matches!(
                     v.as_str(),
-                    "text" | "json" | "sarif" | "github" | "callgraph" | "effects"
+                    "text" | "json" | "github" | "callgraph" | "effects"
                 ) {
                     return Err(format!(
-                        "unknown format `{v}` (expected text, json, sarif, github, callgraph, \
-                         or effects)"
+                        "unknown format `{v}` (expected text, json, github, callgraph, or \
+                         effects)"
                     ));
                 }
                 opts.format = v.clone();
@@ -85,11 +72,6 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
             "--output" => {
                 opts.output = Some(PathBuf::from(it.next().ok_or("--output needs a path")?))
             }
-            "--baseline" => {
-                opts.baseline = Some(PathBuf::from(it.next().ok_or("--baseline needs a path")?))
-            }
-            "--no-baseline" => opts.no_baseline = true,
-            "--update-baseline" => opts.update_baseline = true,
             "--timing" => opts.timing = true,
             "--budget-ms" => {
                 let v = it.next().ok_or("--budget-ms needs a value")?;
@@ -107,12 +89,6 @@ fn parse_lint_opts(args: &[String]) -> Result<LintOpts, String> {
     }
     Ok(opts)
 }
-
-/// Rules that may never be baselined: a wait-for cycle, a blocking call
-/// under a guard, or un-retried device I/O must be fixed or audited at the
-/// site, where the next reader sees the reasoning — not parked in a sidecar
-/// file.
-const UNBASELINEABLE: &[&str] = &["L011", "L012", "L016"];
 
 fn task_lint(args: &[String]) -> ExitCode {
     let opts = match parse_lint_opts(args) {
@@ -169,78 +145,6 @@ fn task_lint(args: &[String]) -> ExitCode {
     }
     let findings = report.findings;
 
-    if opts.update_baseline {
-        let path = opts
-            .baseline
-            .clone()
-            .unwrap_or_else(|| root.join(DEFAULT_BASELINE));
-        let refused: Vec<&scanraw_lint::Finding> = findings
-            .iter()
-            .filter(|f| UNBASELINEABLE.contains(&f.rule.id()))
-            .collect();
-        if !refused.is_empty() {
-            for f in &refused {
-                eprintln!("xtask lint: refusing to baseline {f}");
-            }
-            eprintln!(
-                "xtask lint: {} L011/L012/L016 finding(s) cannot be baselined; fix them or \
-                 audit the site with `// unblock-ok:` / `// lint-ok: <RULE> <reason>`",
-                refused.len()
-            );
-            return ExitCode::FAILURE;
-        }
-        if let Err(e) = std::fs::write(&path, output::write_baseline(&findings)) {
-            eprintln!("xtask lint: cannot write baseline {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "xtask lint: baseline updated ({} finding(s) accepted in {})",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    // Apply the baseline: explicit path > default file when present > none.
-    let baseline_path = if opts.no_baseline {
-        None
-    } else {
-        match opts.baseline {
-            Some(p) => Some(p),
-            None => {
-                let p = root.join(DEFAULT_BASELINE);
-                p.is_file().then_some(p)
-            }
-        }
-    };
-    let (findings, suppressed, stale) = match &baseline_path {
-        Some(path) => match std::fs::read_to_string(path) {
-            Ok(text) => {
-                let entries = output::parse_baseline(&text);
-                let banned: Vec<&output::BaselineEntry> = entries
-                    .iter()
-                    .filter(|b| UNBASELINEABLE.contains(&b.rule.as_str()))
-                    .collect();
-                if !banned.is_empty() {
-                    for b in &banned {
-                        eprintln!(
-                            "xtask lint: illegal baseline entry (L011/L012/L016 cannot be \
-                             baselined): {} {} {}",
-                            b.rule, b.file, b.message
-                        );
-                    }
-                    return ExitCode::FAILURE;
-                }
-                output::apply_baseline(findings, &entries)
-            }
-            Err(e) => {
-                eprintln!("xtask lint: cannot read baseline {}: {e}", path.display());
-                return ExitCode::FAILURE;
-            }
-        },
-        None => (findings, 0, Vec::new()),
-    };
-
     if let Some(path) = &opts.output {
         if let Err(e) = std::fs::write(path, output::to_json(&findings)) {
             eprintln!("xtask lint: cannot write report {}: {e}", path.display());
@@ -250,7 +154,6 @@ fn task_lint(args: &[String]) -> ExitCode {
 
     match opts.format.as_str() {
         "json" => print!("{}", output::to_json(&findings)),
-        "sarif" => print!("{}", output::to_sarif(&findings)),
         "github" => print!("{}", output::to_github(&findings)),
         _ => {
             for f in &findings {
@@ -259,26 +162,14 @@ fn task_lint(args: &[String]) -> ExitCode {
         }
     }
 
-    for b in &stale {
-        eprintln!(
-            "xtask lint: stale baseline entry (no longer matches anything): {} {} {}",
-            b.rule, b.file, b.message
-        );
-    }
-
     if findings.is_empty() {
         if opts.format == "text" {
-            match suppressed {
-                0 => println!("xtask lint: clean (rules L001-L018, 0 findings)"),
-                n => println!("xtask lint: clean (rules L001-L018, {n} baselined finding(s))"),
-            }
+            println!(
+                "xtask lint: clean ({} rules, 0 findings)",
+                scanraw_lint::Rule::ALL.len()
+            );
         }
-        // Stale baseline entries are an error: the file must only shrink.
-        return if stale.is_empty() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
+        return ExitCode::SUCCESS;
     }
     if opts.format == "text" {
         let mut by_rule: Vec<(&str, usize)> = Vec::new();
@@ -290,7 +181,7 @@ fn task_lint(args: &[String]) -> ExitCode {
         }
         let summary: Vec<String> = by_rule.iter().map(|(id, n)| format!("{id}: {n}")).collect();
         eprintln!(
-            "xtask lint: {} finding(s) ({}); silence false positives with `// lint-ok: <RULE> <reason>` or the baseline file",
+            "xtask lint: {} finding(s) ({}); silence false positives with `// lint-ok: <RULE> <reason>`",
             findings.len(),
             summary.join(", ")
         );
@@ -379,7 +270,7 @@ fn main() -> ExitCode {
         Some("trace") => task_trace(&args[1..]),
         None => {
             eprintln!(
-                "usage: cargo xtask <task>\n\ntasks:\n  lint    run the static analysis catalog (L001-L018)\n          options: --format text|json|sarif|github|callgraph|effects, --output <path>,\n                   --baseline <path>, --no-baseline, --update-baseline,\n                   --timing, --budget-ms <n>, --explain <RULE>\n  bench   run the benchmark (perfbench/, see BENCHMARK.json): every\n          workload once, end-to-end metrics and a JSON result line each\n          options: --smoke (small CI configuration)\n  trace   run a seeded traced workload and export its span tree\n          (writes scanraw.trace.json for Perfetto and scanraw.folded)\n          options: --smoke (small CI configuration)"
+                "usage: cargo xtask <task>\n\ntasks:\n  lint    run the static analysis rule table\n          options: --format text|json|github|callgraph|effects, --output <path>,\n                   --timing, --budget-ms <n>, --explain <RULE>\n  bench   run the benchmark (perfbench/, see BENCHMARK.json): every\n          workload once, end-to-end metrics and a JSON result line each\n          options: --smoke (small CI configuration)\n  trace   run a seeded traced workload and export its span tree\n          (writes scanraw.trace.json for Perfetto and scanraw.folded)\n          options: --smoke (small CI configuration)"
             );
             ExitCode::FAILURE
         }

@@ -125,14 +125,6 @@ const IO_METHODS: &[&str] = &[
     "flush",
 ];
 
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == s
-}
-
 /// Canonical channel name: `events_tx` / `events_rx` → `events`, bare
 /// `tx`/`rx` → `chan`. Pairs both endpoints of one channel onto one node.
 pub fn channel_name(recv: &str) -> String {
@@ -346,19 +338,19 @@ fn spawn_regions(toks: &[Token], bstart: usize, bend: usize) -> Vec<(u32, usize,
     let mut out = Vec::new();
     let mut i = bstart;
     while i < bend {
-        if is_ident(&toks[i], "spawn") && i + 1 < bend && is_punct(&toks[i + 1], "(") {
+        if toks[i].is_ident("spawn") && i + 1 < bend && toks[i + 1].is_punct("(") {
             let call_end = match_paren(toks, i + 1).min(bend);
             let mut j = i + 2;
-            while j < call_end && !is_punct(&toks[j], "|") {
+            while j < call_end && !toks[j].is_punct("|") {
                 j += 1;
             }
             if j < call_end {
                 j += 1;
-                while j < call_end && !is_punct(&toks[j], "|") {
+                while j < call_end && !toks[j].is_punct("|") {
                     j += 1;
                 }
                 j += 1;
-                while j < call_end && !is_punct(&toks[j], "{") {
+                while j < call_end && !toks[j].is_punct("{") {
                     j += 1;
                 }
                 if j < call_end {
@@ -386,12 +378,12 @@ type RawCall = (String, u32, Option<usize>);
 /// panic path, so L013 skips it.
 fn is_poison_propagation(toks: &[Token], i: usize) -> bool {
     i >= 5
-        && is_punct(&toks[i - 1], ".")
-        && is_punct(&toks[i - 2], ")")
-        && is_punct(&toks[i - 3], "(")
+        && toks[i - 1].is_punct(".")
+        && toks[i - 2].is_punct(")")
+        && toks[i - 3].is_punct("(")
         && matches!(toks[i - 4].text.as_str(), "lock" | "read" | "write")
         && toks[i - 4].kind == TokKind::Ident
-        && is_punct(&toks[i - 5], ".")
+        && toks[i - 5].is_punct(".")
 }
 
 /// One pass over a node's (holed) token range: raw call names, panic sites,
@@ -411,7 +403,7 @@ fn scan_node(files: &[SourceFile], node: &mut Node, raw_calls: &mut Vec<RawCall>
         if t.kind == TokKind::Ident && i + 1 < bend {
             let next = &toks[i + 1];
             // Macro panics: `panic!(…)`.
-            if is_punct(next, "!") && PANIC_MACROS.contains(&t.text.as_str()) {
+            if next.is_punct("!") && PANIC_MACROS.contains(&t.text.as_str()) {
                 node.panics.push(PanicSite {
                     line: t.line,
                     what: format!("{}!", t.text),
@@ -419,8 +411,8 @@ fn scan_node(files: &[SourceFile], node: &mut Node, raw_calls: &mut Vec<RawCall>
                 i += 2;
                 continue;
             }
-            if is_punct(next, "(") {
-                let method = i >= 1 && is_punct(&toks[i - 1], ".");
+            if next.is_punct("(") {
+                let method = i >= 1 && toks[i - 1].is_punct(".");
                 let name = t.text.as_str();
                 if method && (name == "unwrap" || name == "expect") {
                     if !is_poison_propagation(toks, i) {
@@ -442,7 +434,7 @@ fn scan_node(files: &[SourceFile], node: &mut Node, raw_calls: &mut Vec<RawCall>
                 } else if method
                     && (name == "wait" || name == "wait_timeout")
                     && i + 2 < bend
-                    && !is_punct(&toks[i + 2], ")")
+                    && !toks[i + 2].is_punct(")")
                 {
                     // Condvar waits take the guard; zero-arg `.wait()` is
                     // some other API.
@@ -452,7 +444,7 @@ fn scan_node(files: &[SourceFile], node: &mut Node, raw_calls: &mut Vec<RawCall>
                         line: t.line,
                         op: Op::CvWait(cv),
                     });
-                } else if method && name == "join" && i + 2 < bend && is_punct(&toks[i + 2], ")") {
+                } else if method && name == "join" && i + 2 < bend && toks[i + 2].is_punct(")") {
                     node.blocking.push(BlockSite {
                         line: t.line,
                         op: Op::Join,

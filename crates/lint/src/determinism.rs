@@ -47,14 +47,6 @@ const NEUTRALIZERS: &[&str] = &[
     "entry",
 ];
 
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == s
-}
-
 /// Files the rule applies to: the product crates, not the analyzer or the
 /// benchmark/test-support code.
 fn in_scope(rel: &str) -> bool {
@@ -75,15 +67,15 @@ pub(crate) fn unordered_names(toks: &[Token]) -> BTreeSet<String> {
         }
         // `name : HashMap<…>` — walk back over `&`/`mut` to the ident.
         let mut j = i;
-        while j >= 1 && (is_punct(&toks[j - 1], "&") || is_ident(&toks[j - 1], "mut")) {
+        while j >= 1 && (toks[j - 1].is_punct("&") || toks[j - 1].is_ident("mut")) {
             j -= 1;
         }
-        if j >= 2 && is_punct(&toks[j - 1], ":") && toks[j - 2].kind == TokKind::Ident {
+        if j >= 2 && toks[j - 1].is_punct(":") && toks[j - 2].kind == TokKind::Ident {
             names.insert(toks[j - 2].text.clone());
             continue;
         }
         // `name = HashMap::new()` / `with_capacity` / `from(..)`.
-        if i >= 2 && is_punct(&toks[i - 1], "=") && toks[i - 2].kind == TokKind::Ident {
+        if i >= 2 && toks[i - 1].is_punct("=") && toks[i - 2].kind == TokKind::Ident {
             names.insert(toks[i - 2].text.clone());
         }
     }
@@ -115,25 +107,25 @@ pub fn check_file(f: &SourceFile, findings: &mut Vec<Finding>) {
             if t.kind == TokKind::Ident
                 && ITER_METHODS.contains(&t.text.as_str())
                 && i >= 1
-                && is_punct(&toks[i - 1], ".")
+                && toks[i - 1].is_punct(".")
                 && i + 1 < bend
-                && is_punct(&toks[i + 1], "(")
+                && toks[i + 1].is_punct("(")
             {
                 if let Some(recv) = receiver_of_call(toks, i) {
                     if unordered.contains(&recv) {
                         sites.push((i, recv));
                     }
                 }
-            } else if is_ident(t, "for") {
+            } else if t.is_ident("for") {
                 // `for pat in <expr> {` — unordered ident in the expr means
                 // the loop walks container order.
                 let mut j = i + 1;
-                while j < bend && !is_ident(&toks[j], "in") {
+                while j < bend && !toks[j].is_ident("in") {
                     j += 1;
                 }
                 let start = j + 1;
                 let mut k = start;
-                while k < bend && !is_punct(&toks[k], "{") {
+                while k < bend && !toks[k].is_punct("{") {
                     if toks[k].kind == TokKind::Ident && unordered.contains(&toks[k].text) {
                         sites.push((k, toks[k].text.clone()));
                         break;
@@ -162,10 +154,10 @@ pub fn check_file(f: &SourceFile, findings: &mut Vec<Finding>) {
                     break;
                 }
                 let is_sink_call =
-                    SINKS.contains(&t.text.as_str()) && k + 1 < bend && is_punct(&toks[k + 1], "(");
+                    SINKS.contains(&t.text.as_str()) && k + 1 < bend && toks[k + 1].is_punct("(");
                 let is_sink_macro = (t.text == "write" || t.text == "writeln")
                     && k + 1 < bend
-                    && is_punct(&toks[k + 1], "!");
+                    && toks[k + 1].is_punct("!");
                 if is_sink_call || is_sink_macro {
                     hit = Some((k, t.text.clone()));
                     break;

@@ -36,7 +36,7 @@
 //! edges, which can under-propagate effects.
 
 use crate::callgraph::CallGraph;
-use crate::lexer::{TokKind, Token};
+use crate::lexer::TokKind;
 use crate::model::{count_args, match_paren, SourceFile};
 use crate::obscatalog::catalog_block;
 use crate::resolve::CrateMap;
@@ -146,14 +146,6 @@ const L016_SCOPE: &[&str] = &["crates/core/", "crates/storage/", "crates/rawfile
 /// not retried and not effects).
 const DEVICE_METHODS: &[&str] = &["read", "write_at", "append"];
 
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == s
-}
-
 /// Files whose bodies are seeded and whose crates carry contracts: the
 /// product crates and the root binary — not the analyzer, the shims
 /// (vendored stand-ins), or xtask.
@@ -219,7 +211,7 @@ fn seed_node(files: &[SourceFile], cg: &CallGraph, id: usize) -> Vec<Seed> {
             continue;
         }
         let path2 = |a: usize| -> Option<&str> {
-            (is_punct(toks.get(a + 1)?, "::") && toks[a + 2].kind == TokKind::Ident)
+            (toks.get(a + 1)?.is_punct("::") && toks[a + 2].kind == TokKind::Ident)
                 .then(|| toks[a + 2].text.as_str())
         };
         match t.text.as_str() {
@@ -269,11 +261,11 @@ fn seed_node(files: &[SourceFile], cg: &CallGraph, id: usize) -> Vec<Seed> {
             "for" => {
                 // `for pat in <unordered> {` — the loop walks hasher order.
                 let mut j = i + 1;
-                while j < bend && !is_ident(&toks[j], "in") {
+                while j < bend && !toks[j].is_ident("in") {
                     j += 1;
                 }
                 let mut k = j + 1;
-                while k < bend && !is_punct(&toks[k], "{") {
+                while k < bend && !toks[k].is_punct("{") {
                     if toks[k].kind == TokKind::Ident && unordered.contains(&toks[k].text) {
                         push(
                             k,
@@ -287,9 +279,9 @@ fn seed_node(files: &[SourceFile], cg: &CallGraph, id: usize) -> Vec<Seed> {
             }
             name if crate::determinism::ITER_METHODS.contains(&name)
                 && i >= 1
-                && is_punct(&toks[i - 1], ".")
+                && toks[i - 1].is_punct(".")
                 && i + 1 < bend
-                && is_punct(&toks[i + 1], "(") =>
+                && toks[i + 1].is_punct("(") =>
             {
                 if let Some(recv) = receiver_of_call(toks, i) {
                     if unordered.contains(&recv) {
@@ -303,9 +295,9 @@ fn seed_node(files: &[SourceFile], cg: &CallGraph, id: usize) -> Vec<Seed> {
             }
             name if DEVICE_METHODS.contains(&name)
                 && i >= 1
-                && is_punct(&toks[i - 1], ".")
+                && toks[i - 1].is_punct(".")
                 && i + 1 < bend
-                && is_punct(&toks[i + 1], "(") =>
+                && toks[i + 1].is_punct("(") =>
             {
                 // Receiver must be disk-named, and `.read(` needs a real
                 // argument list — `RwLock::read()` takes none.
@@ -476,7 +468,7 @@ fn retry_wrappers(files: &[SourceFile]) -> BTreeSet<String> {
                 let forwards = (bstart..bend).any(|i| {
                     f.tokens[i].kind == TokKind::Ident
                         && names.contains(&f.tokens[i].text)
-                        && f.tokens.get(i + 1).is_some_and(|t| is_punct(t, "("))
+                        && f.tokens.get(i + 1).is_some_and(|t| t.is_punct("("))
                 });
                 if forwards {
                     names.insert(func.name.clone());
@@ -506,7 +498,7 @@ fn l016_retry_coverage(
         for i in bstart..bend {
             if toks[i].kind == TokKind::Ident
                 && wrappers.contains(&toks[i].text)
-                && toks.get(i + 1).is_some_and(|t| is_punct(t, "("))
+                && toks.get(i + 1).is_some_and(|t| t.is_punct("("))
             {
                 let end = match_paren(toks, i + 1).min(bend.max(i + 2));
                 tok_regions[id].push((i, end));

@@ -33,10 +33,9 @@ const SCOPE: &[&str] = &[
     "crates/rawfile/",
 ];
 
-fn is_punct(f: &SourceFile, i: usize, s: &str) -> bool {
-    f.tokens
-        .get(i)
-        .is_some_and(|t| t.kind == TokKind::Punct && t.text == s)
+/// Bounds-tolerant [`Token::is_punct`]: false past the end of the file.
+fn punct_at(f: &SourceFile, i: usize, s: &str) -> bool {
+    f.tokens.get(i).is_some_and(|t| t.is_punct(s))
 }
 
 /// Does `[start, end)` contain a tail-position acquire call — `.pop()` /
@@ -45,11 +44,11 @@ fn is_acquire_init(f: &SourceFile, start: usize, end: usize) -> bool {
     let toks = &f.tokens;
     let mut i = start;
     while i + 2 < end {
-        if is_punct(f, i, ".")
+        if punct_at(f, i, ".")
             && toks[i + 1].kind == TokKind::Ident
             && ACQUIRE_METHODS.contains(&toks[i + 1].text.as_str())
-            && is_punct(f, i + 2, "(")
-            && is_punct(f, i + 3, ")")
+            && punct_at(f, i + 2, "(")
+            && punct_at(f, i + 3, ")")
         {
             // Verify the rest of the init is only unwrap/expect/`?`.
             let mut j = i + 4;
@@ -116,20 +115,20 @@ fn acquire_binding(f: &SourceFile, stmt: &Stmt) -> Option<Acquired> {
         // Binding: sole ident inside `Pat(x)` or a bare ident pattern.
         let mut eq = None;
         for i in start + 2..end {
-            if is_punct(f, i, "=") {
+            if punct_at(f, i, "=") {
                 eq = Some(i);
                 break;
             }
-            if is_punct(f, i, "{") {
+            if punct_at(f, i, "{") {
                 break;
             }
         }
         let eq = eq?;
-        let name = if is_punct(f, start + 3, "(")
+        let name = if punct_at(f, start + 3, "(")
             && f.tokens
                 .get(start + 4)
                 .is_some_and(|t| t.kind == TokKind::Ident)
-            && is_punct(f, start + 5, ")")
+            && punct_at(f, start + 5, ")")
         {
             f.tokens[start + 4].text.clone()
         } else if f.tokens[start + 2].kind == TokKind::Ident && eq == start + 3 {

@@ -38,6 +38,18 @@ pub struct Token {
     pub line: u32,
 }
 
+impl Token {
+    /// True for the punctuation token `s`.
+    pub fn is_punct(&self, s: &str) -> bool {
+        self.kind == TokKind::Punct && self.text == s
+    }
+
+    /// True for the identifier or keyword `s`.
+    pub fn is_ident(&self, s: &str) -> bool {
+        self.kind == TokKind::Ident && self.text == s
+    }
+}
+
 /// A comment (line or block) with its covered line range, 1-based inclusive.
 #[derive(Debug, Clone)]
 pub struct Comment {

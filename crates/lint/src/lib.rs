@@ -9,9 +9,16 @@
 //! documents its failure modes. This crate checks them, lexically, with zero
 //! dependencies. Run it as `cargo xtask lint`.
 //!
+//! Each thing is said once: the rules are listed in one table
+//! ([`explain`]), every entry point runs one pipeline
+//! ([`lint_workspace_report`]), and one guard-tracking walk
+//! ([`waitgraph`]) knows which locks are held where.
+//!
 //! Findings are silenced in-source with `// lint-ok: <RULE> <reason>` (or
-//! `// relaxed-ok: <reason>` for L001) on the same line or the line above;
-//! the reason is mandatory by convention and reviewed like code.
+//! `// relaxed-ok:` for L001, `// unblock-ok:` for L012, `// effect-ok:` on
+//! an effect seed) on the same line or the line above; the reason is
+//! mandatory by convention and reviewed like code. There is no other
+//! suppression channel.
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

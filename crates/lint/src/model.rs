@@ -127,11 +127,11 @@ pub fn match_paren(tokens: &[Token], open: usize) -> usize {
 /// call/signature positions this feeds, and a skewed count only drops a
 /// resolution edge (the documented unsound direction).
 pub fn count_args(tokens: &[Token], open: usize) -> Option<usize> {
-    if !tokens.get(open).is_some_and(|t| is_punct(t, "(")) {
+    if !tokens.get(open).is_some_and(|t| t.is_punct("(")) {
         return None;
     }
     let close = match_paren(tokens, open).checked_sub(1)?;
-    if !tokens.get(close).is_some_and(|t| is_punct(t, ")")) {
+    if !tokens.get(close).is_some_and(|t| t.is_punct(")")) {
         return None;
     }
     if close == open + 1 {
@@ -154,18 +154,10 @@ pub fn count_args(tokens: &[Token], open: usize) -> Option<usize> {
         }
     }
     // `f(a, b,)` — the trailing comma is not another argument.
-    if is_punct(&tokens[close - 1], ",") && commas > 0 {
+    if tokens[close - 1].is_punct(",") && commas > 0 {
         commas -= 1;
     }
     Some(commas + 1)
-}
-
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == s
 }
 
 /// Finds `#[cfg(test)] <item>` spans: the attribute plus the following
@@ -174,25 +166,25 @@ fn find_test_spans(tokens: &[Token]) -> Vec<(usize, usize)> {
     let mut spans = Vec::new();
     let mut i = 0usize;
     while i + 6 < tokens.len() {
-        if is_punct(&tokens[i], "#")
-            && is_punct(&tokens[i + 1], "[")
-            && is_ident(&tokens[i + 2], "cfg")
-            && is_punct(&tokens[i + 3], "(")
-            && is_ident(&tokens[i + 4], "test")
-            && is_punct(&tokens[i + 5], ")")
-            && is_punct(&tokens[i + 6], "]")
+        if tokens[i].is_punct("#")
+            && tokens[i + 1].is_punct("[")
+            && tokens[i + 2].is_ident("cfg")
+            && tokens[i + 3].is_punct("(")
+            && tokens[i + 4].is_ident("test")
+            && tokens[i + 5].is_punct(")")
+            && tokens[i + 6].is_punct("]")
         {
             // Find the first `{` after the attribute and swallow the block.
             let mut j = i + 7;
-            while j < tokens.len() && !is_punct(&tokens[j], "{") {
+            while j < tokens.len() && !tokens[j].is_punct("{") {
                 // An item ending in `;` before any `{` (e.g. `use` under
                 // cfg(test)) has no block; span covers to the `;`.
-                if is_punct(&tokens[j], ";") {
+                if tokens[j].is_punct(";") {
                     break;
                 }
                 j += 1;
             }
-            let end = if j < tokens.len() && is_punct(&tokens[j], "{") {
+            let end = if j < tokens.len() && tokens[j].is_punct("{") {
                 match_brace(tokens, j)
             } else {
                 j + 1
@@ -212,7 +204,7 @@ fn find_functions(tokens: &[Token], comments: &[Comment]) -> Vec<FnInfo> {
     let mut fns = Vec::new();
     let mut i = 0usize;
     while i < tokens.len() {
-        if !is_ident(&tokens[i], "fn") {
+        if !tokens[i].is_ident("fn") {
             i += 1;
             continue;
         }
@@ -233,21 +225,21 @@ fn find_functions(tokens: &[Token], comments: &[Comment]) -> Vec<FnInfo> {
         let mut k = i;
         while k > 0 {
             let p = &tokens[k - 1];
-            let part_of_prefix = is_ident(p, "pub")
-                || is_ident(p, "const")
-                || is_ident(p, "async")
-                || is_ident(p, "unsafe")
-                || is_ident(p, "extern")
-                || is_ident(p, "crate")
-                || is_ident(p, "super")
-                || is_ident(p, "in")
+            let part_of_prefix = p.is_ident("pub")
+                || p.is_ident("const")
+                || p.is_ident("async")
+                || p.is_ident("unsafe")
+                || p.is_ident("extern")
+                || p.is_ident("crate")
+                || p.is_ident("super")
+                || p.is_ident("in")
                 || p.kind == TokKind::Str // extern "C"
-                || is_punct(p, "(")
-                || is_punct(p, ")");
+                || p.is_punct("(")
+                || p.is_punct(")");
             if !part_of_prefix {
                 break;
             }
-            if is_ident(p, "pub") {
+            if p.is_ident("pub") {
                 is_pub = true;
             }
             k -= 1;
@@ -256,14 +248,14 @@ fn find_functions(tokens: &[Token], comments: &[Comment]) -> Vec<FnInfo> {
         // Attribute lines above (`#[…]`) move the doc anchor further up.
         let mut anchor_line = tokens[first].line;
         let mut a = first;
-        while a >= 2 && is_punct(&tokens[a - 1], "]") {
+        while a >= 2 && tokens[a - 1].is_punct("]") {
             // Walk back to the matching `#[`.
             let mut depth = 0usize;
             let mut j = a - 1;
             loop {
-                if is_punct(&tokens[j], "]") {
+                if tokens[j].is_punct("]") {
                     depth += 1;
-                } else if is_punct(&tokens[j], "[") {
+                } else if tokens[j].is_punct("[") {
                     depth -= 1;
                     if depth == 0 {
                         break;
@@ -274,7 +266,7 @@ fn find_functions(tokens: &[Token], comments: &[Comment]) -> Vec<FnInfo> {
                 }
                 j -= 1;
             }
-            if j >= 1 && is_punct(&tokens[j - 1], "#") {
+            if j >= 1 && tokens[j - 1].is_punct("#") {
                 a = j - 1;
                 anchor_line = tokens[a].line;
             } else {

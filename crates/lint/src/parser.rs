@@ -22,14 +22,6 @@
 use crate::lexer::{TokKind, Token};
 use crate::model::{match_brace, match_paren, SourceFile};
 
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == s
-}
-
 // ---------------------------------------------------------------------------
 // Enum items
 // ---------------------------------------------------------------------------
@@ -50,7 +42,7 @@ pub fn enums(f: &SourceFile) -> Vec<EnumDef> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i + 2 < toks.len() {
-        if !is_ident(&toks[i], "enum") {
+        if !toks[i].is_ident("enum") {
             i += 1;
             continue;
         }
@@ -72,7 +64,7 @@ pub fn enums(f: &SourceFile) -> Vec<EnumDef> {
             }
             j += 1;
         }
-        if j >= toks.len() || !is_punct(&toks[j], "{") {
+        if j >= toks.len() || !toks[j].is_punct("{") {
             i += 1;
             continue;
         }
@@ -84,14 +76,14 @@ pub fn enums(f: &SourceFile) -> Vec<EnumDef> {
         let mut k = j + 1;
         while k < end.saturating_sub(1) {
             let t = &toks[k];
-            if is_punct(t, "#") && k + 1 < end && is_punct(&toks[k + 1], "[") {
+            if t.is_punct("#") && k + 1 < end && toks[k + 1].is_punct("[") {
                 // Attribute: skip to its `]`.
                 let mut depth = 0usize;
                 let mut a = k + 1;
                 while a < end {
-                    if is_punct(&toks[a], "[") {
+                    if toks[a].is_punct("[") {
                         depth += 1;
-                    } else if is_punct(&toks[a], "]") {
+                    } else if toks[a].is_punct("]") {
                         depth -= 1;
                         if depth == 0 {
                             break;
@@ -166,7 +158,7 @@ pub fn matches(f: &SourceFile) -> Vec<MatchExpr> {
     let toks = &f.tokens;
     let mut out = Vec::new();
     for i in 0..toks.len() {
-        if !is_ident(&toks[i], "match") {
+        if !toks[i].is_ident("match") {
             continue;
         }
         // `matches!` lexes as the ident `matches`, not `match`; but a macro
@@ -241,9 +233,9 @@ pub fn matches(f: &SourceFile) -> Vec<MatchExpr> {
             let body_start = arrow + 1;
             let body_stop;
             let next;
-            if body_start < body_end - 1 && is_punct(&toks[body_start], "{") {
+            if body_start < body_end - 1 && toks[body_start].is_punct("{") {
                 body_stop = match_brace(toks, body_start).min(body_end - 1);
-                next = if body_stop < body_end - 1 && is_punct(&toks[body_stop], ",") {
+                next = if body_stop < body_end - 1 && toks[body_stop].is_punct(",") {
                     body_stop + 1
                 } else {
                     body_stop
@@ -337,20 +329,20 @@ pub fn cfg_gates(f: &SourceFile) -> Vec<CfgGate> {
     let mut out = Vec::new();
     let mut i = 0usize;
     while i + 3 < toks.len() {
-        if !is_punct(&toks[i], "#") {
+        if !toks[i].is_punct("#") {
             i += 1;
             continue;
         }
         let mut j = i + 1;
-        let inner = j < toks.len() && is_punct(&toks[j], "!");
+        let inner = j < toks.len() && toks[j].is_punct("!");
         if inner {
             j += 1;
         }
-        if !(j + 1 < toks.len() && is_punct(&toks[j], "[") && is_ident(&toks[j + 1], "cfg")) {
+        if !(j + 1 < toks.len() && toks[j].is_punct("[") && toks[j + 1].is_ident("cfg")) {
             i += 1;
             continue;
         }
-        if !(j + 2 < toks.len() && is_punct(&toks[j + 2], "(")) {
+        if !(j + 2 < toks.len() && toks[j + 2].is_punct("(")) {
             i += 1;
             continue;
         }
@@ -363,16 +355,16 @@ pub fn cfg_gates(f: &SourceFile) -> Vec<CfgGate> {
         let mut a = j + 2;
         while a < args_end {
             let t = &toks[a];
-            if is_punct(t, "(") {
+            if t.is_punct("(") {
                 depth += 1;
-            } else if is_punct(t, ")") {
+            } else if t.is_punct(")") {
                 depth -= 1;
                 not_depth.retain(|&d| d <= depth);
-            } else if is_ident(t, "not") && a + 1 < args_end && is_punct(&toks[a + 1], "(") {
+            } else if t.is_ident("not") && a + 1 < args_end && toks[a + 1].is_punct("(") {
                 not_depth.push(depth + 1);
-            } else if is_ident(t, "feature")
+            } else if t.is_ident("feature")
                 && a + 2 < args_end
-                && is_punct(&toks[a + 1], "=")
+                && toks[a + 1].is_punct("=")
                 && toks[a + 2].kind == TokKind::Str
                 && feature.is_none()
             {
@@ -403,14 +395,14 @@ pub fn cfg_gates(f: &SourceFile) -> Vec<CfgGate> {
         // Identify the gated item: skip further attributes, then read the
         // item prefix.
         let mut k = attr_end;
-        while k + 1 < toks.len() && is_punct(&toks[k], "#") && is_punct(&toks[k + 1], "[") {
+        while k + 1 < toks.len() && toks[k].is_punct("#") && toks[k + 1].is_punct("[") {
             // skip stacked attribute
             let mut depth = 0usize;
             let mut b = k + 1;
             while b < toks.len() {
-                if is_punct(&toks[b], "[") {
+                if toks[b].is_punct("[") {
                     depth += 1;
-                } else if is_punct(&toks[b], "]") {
+                } else if toks[b].is_punct("]") {
                     depth -= 1;
                     if depth == 0 {
                         break;
@@ -423,22 +415,22 @@ pub fn cfg_gates(f: &SourceFile) -> Vec<CfgGate> {
         let mut is_pub = false;
         while k < toks.len() {
             let t = &toks[k];
-            if is_ident(t, "pub") {
+            if t.is_ident("pub") {
                 is_pub = true;
                 // skip optional (crate)/(super)/(in path)
-                if k + 1 < toks.len() && is_punct(&toks[k + 1], "(") {
+                if k + 1 < toks.len() && toks[k + 1].is_punct("(") {
                     k = match_paren(toks, k + 1);
                     continue;
                 }
                 k += 1;
-            } else if is_ident(t, "async")
-                || is_ident(t, "unsafe")
-                || is_ident(t, "extern")
+            } else if t.is_ident("async")
+                || t.is_ident("unsafe")
+                || t.is_ident("extern")
                 || t.kind == TokKind::Str
-                || is_ident(t, "const") && {
+                || t.is_ident("const") && {
                     // `const fn` prefix vs `const NAME`: peek — if the next
                     // token is `fn`, it's a qualifier.
-                    k + 1 < toks.len() && is_ident(&toks[k + 1], "fn")
+                    k + 1 < toks.len() && toks[k + 1].is_ident("fn")
                 }
             {
                 k += 1;
@@ -488,11 +480,11 @@ fn gated_item_at(toks: &[Token], k: usize) -> (GatedKind, Option<String>, Vec<St
             // by `::` (and not the `as` keyword or crate/self/super roots).
             let mut names = Vec::new();
             let mut m = k + 1;
-            while m < toks.len() && !is_punct(&toks[m], ";") {
+            while m < toks.len() && !toks[m].is_punct(";") {
                 let u = &toks[m];
                 if u.kind == TokKind::Ident
                     && !matches!(u.text.as_str(), "as" | "crate" | "self" | "super")
-                    && !(m + 1 < toks.len() && is_punct(&toks[m + 1], "::"))
+                    && !(m + 1 < toks.len() && toks[m + 1].is_punct("::"))
                 {
                     names.push(u.text.clone());
                 }
@@ -503,7 +495,7 @@ fn gated_item_at(toks: &[Token], k: usize) -> (GatedKind, Option<String>, Vec<St
         _ => {
             // Struct field / struct-literal entry: `ident :` — or anything
             // else expression-shaped.
-            if t.kind == TokKind::Ident && toks.get(k + 1).is_some_and(|n| is_punct(n, ":")) {
+            if t.kind == TokKind::Ident && toks.get(k + 1).is_some_and(|n| n.is_punct(":")) {
                 (GatedKind::Other, Some(t.text.clone()), Vec::new())
             } else {
                 (GatedKind::Other, None, Vec::new())
@@ -588,39 +580,39 @@ pub fn parse_block(f: &SourceFile, start: usize, end: usize) -> Block {
     let mut stmts = Vec::new();
     let mut i = start;
     while i < end {
-        if is_punct(&toks[i], ";") {
+        if toks[i].is_punct(";") {
             i += 1;
             continue;
         }
         let stmt_start = i;
         let line = toks[i].line;
         let first = &toks[i];
-        let exit = if is_ident(first, "return") {
+        let exit = if first.is_ident("return") {
             ExitKind::Return
-        } else if is_ident(first, "break") {
+        } else if first.is_ident("break") {
             ExitKind::Break
-        } else if is_ident(first, "continue") {
+        } else if first.is_ident("continue") {
             ExitKind::Continue
         } else {
             ExitKind::None
         };
-        let is_let = is_ident(first, "let");
+        let is_let = first.is_ident("let");
         let blocky = BLOCKY_STARTERS.contains(&first.text.as_str()) && first.kind == TokKind::Ident
-            || is_punct(first, "{");
+            || first.is_punct("{");
         // `let` binding extraction: `let [mut] x =` / `let Some(x) =`.
         let mut binding = None;
         let mut init_start = None;
         if is_let {
             let mut b = i + 1;
-            if b < end && is_ident(&toks[b], "mut") {
+            if b < end && toks[b].is_ident("mut") {
                 b += 1;
             }
             if b < end && toks[b].kind == TokKind::Ident {
-                if b + 1 < end && is_punct(&toks[b + 1], "(") {
+                if b + 1 < end && toks[b + 1].is_punct("(") {
                     // `let Some(x)` / `let Ok(x)` — one ident inside.
                     if b + 3 < end
                         && toks[b + 2].kind == TokKind::Ident
-                        && is_punct(&toks[b + 3], ")")
+                        && toks[b + 3].is_punct(")")
                     {
                         binding = Some(toks[b + 2].text.clone());
                     }
@@ -667,15 +659,15 @@ pub fn parse_block(f: &SourceFile, start: usize, end: usize) -> Block {
                         break;
                     }
                     let nt = &toks[j];
-                    let continuation = is_ident(nt, "else")
-                        || is_punct(nt, ".")
-                        || is_punct(nt, "?")
-                        || is_punct(nt, ",");
+                    let continuation = nt.is_ident("else")
+                        || nt.is_punct(".")
+                        || nt.is_punct("?")
+                        || nt.is_punct(",");
                     if blocky && !continuation && !is_let {
                         stmt_end = j;
                         break;
                     }
-                    if is_punct(nt, ";") {
+                    if nt.is_punct(";") {
                         stmt_end = j + 1;
                         break;
                     }
@@ -693,7 +685,7 @@ pub fn parse_block(f: &SourceFile, start: usize, end: usize) -> Block {
                 }
                 _ => {}
             }
-            prev_else = is_ident(t, "else") && is_let;
+            prev_else = t.is_ident("else") && is_let;
             j += 1;
         }
         if j >= end {

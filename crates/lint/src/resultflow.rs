@@ -36,10 +36,6 @@ const SCOPE: &[&str] = &[
 /// `.unwrap_or*` variants that drop the error value.
 const SWALLOWERS: &[&str] = &["unwrap_or", "unwrap_or_default", "unwrap_or_else"];
 
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
 /// Function names whose every workspace definition returns a
 /// workspace-error `Result`.
 fn fallible_names(files: &[SourceFile]) -> BTreeSet<String> {
@@ -63,7 +59,7 @@ fn fallible_names(files: &[SourceFile]) -> BTreeSet<String> {
 /// workspace-style error: a single-argument `Result<T>` (the crate alias)
 /// or an explicit second argument mentioning `Error`/`IoError`.
 fn returns_error_result(sig: &[Token]) -> bool {
-    let Some(arrow) = sig.iter().position(|t| is_punct(t, "->")) else {
+    let Some(arrow) = sig.iter().position(|t| t.is_punct("->")) else {
         return false;
     };
     let Some(res) =
@@ -71,7 +67,7 @@ fn returns_error_result(sig: &[Token]) -> bool {
     else {
         return false;
     };
-    let Some(open) = sig.get(res + 1).filter(|t| is_punct(t, "<")) else {
+    let Some(open) = sig.get(res + 1).filter(|t| t.is_punct("<")) else {
         // Bare `-> Result` (fully aliased): treat as fallible.
         return true;
     };
@@ -156,7 +152,7 @@ fn walk(f: &SourceFile, block: &Block, fallible: &BTreeSet<String>, findings: &m
         // from the statement's leading tokens.
         let let_discard = toks.get(start).is_some_and(|t| t.text == "let")
             && toks.get(start + 1).is_some_and(|t| t.text == "_")
-            && toks.get(start + 2).is_some_and(|t| is_punct(t, "="));
+            && toks.get(start + 2).is_some_and(|t| t.is_punct("="));
         let binding = if let_discard {
             Some("_")
         } else {
@@ -171,7 +167,7 @@ fn walk(f: &SourceFile, block: &Block, fallible: &BTreeSet<String>, findings: &m
             let t = &toks[i];
             let is_call = t.kind == TokKind::Ident
                 && fallible.contains(&t.text)
-                && toks.get(i + 1).is_some_and(|n| is_punct(n, "("));
+                && toks.get(i + 1).is_some_and(|n| n.is_punct("("));
             if !is_call {
                 i += 1;
                 continue;
@@ -208,12 +204,12 @@ fn classify(toks: &[Token], after: usize, end: usize, binding: Option<&str>) -> 
     // A chained `.method(` directly after the call's closing paren.
     let chained = |at: usize| -> Option<(&str, usize)> {
         let dot = toks.get(at)?;
-        if !is_punct(dot, ".") {
+        if !dot.is_punct(".") {
             return None;
         }
         let name = toks.get(at + 1)?;
         let open = toks.get(at + 2)?;
-        (name.kind == TokKind::Ident && is_punct(open, "("))
+        (name.kind == TokKind::Ident && open.is_punct("("))
             .then(|| (name.text.as_str(), match_paren(toks, at + 2)))
     };
     if let Some((m, close)) = chained(after) {

@@ -16,7 +16,7 @@
 //! guards are live (lock order, blocking under a guard) or what a spawned
 //! thread reaches lives in the interprocedural pass (`interproc`,
 //! `waitgraph`); this module only lends it the two token helpers
-//! [`receiver_of_call`] and [`acquisition_at`].
+//! `receiver_of_call` and `acquisition_at`.
 
 use crate::lexer::{TokKind, Token};
 use crate::model::SourceFile;
@@ -40,14 +40,6 @@ const ATOMIC_METHODS: &[&str] = &[
     "compare_exchange_weak",
 ];
 
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == s
-}
-
 /// Runs every token-stream rule over the file set; the caller sorts.
 pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -68,17 +60,17 @@ pub fn run_all(files: &[SourceFile]) -> Vec<Finding> {
 /// with the interprocedural layer (channel/lock naming).
 pub(crate) fn receiver_of_call(tokens: &[Token], method_idx: usize) -> Option<String> {
     // tokens[method_idx] is the method name; tokens[method_idx - 1] must be `.`.
-    if method_idx < 2 || !is_punct(&tokens[method_idx - 1], ".") {
+    if method_idx < 2 || !tokens[method_idx - 1].is_punct(".") {
         return None;
     }
     let mut i = method_idx - 2;
-    if is_punct(&tokens[i], "]") {
+    if tokens[i].is_punct("]") {
         // Walk back over the index expression to its `[`.
         let mut depth = 0usize;
         loop {
-            if is_punct(&tokens[i], "]") {
+            if tokens[i].is_punct("]") {
                 depth += 1;
-            } else if is_punct(&tokens[i], "[") {
+            } else if tokens[i].is_punct("[") {
                 depth -= 1;
                 if depth == 0 {
                     break;
@@ -94,13 +86,13 @@ pub(crate) fn receiver_of_call(tokens: &[Token], method_idx: usize) -> Option<St
         }
         i -= 1;
     }
-    if is_punct(&tokens[i], ")") {
+    if tokens[i].is_punct(")") {
         // A call result like `x.col(i).load(..)` — walk back over the args.
         let mut depth = 0usize;
         loop {
-            if is_punct(&tokens[i], ")") {
+            if tokens[i].is_punct(")") {
                 depth += 1;
-            } else if is_punct(&tokens[i], "(") {
+            } else if tokens[i].is_punct("(") {
                 depth -= 1;
                 if depth == 0 {
                     break;
@@ -133,10 +125,10 @@ fn l001_relaxed_cross_module(files: &[SourceFile]) -> Vec<Finding> {
     for (fi, f) in files.iter().enumerate() {
         let toks = &f.tokens;
         for i in 0..toks.len() {
-            if !(is_ident(&toks[i], "Ordering")
+            if !(toks[i].is_ident("Ordering")
                 && i + 2 < toks.len()
-                && is_punct(&toks[i + 1], "::")
-                && is_ident(&toks[i + 2], "Relaxed"))
+                && toks[i + 1].is_punct("::")
+                && toks[i + 2].is_ident("Relaxed"))
             {
                 continue;
             }
@@ -150,7 +142,7 @@ fn l001_relaxed_cross_module(files: &[SourceFile]) -> Vec<Finding> {
                 if toks[j].kind == TokKind::Ident
                     && ATOMIC_METHODS.contains(&toks[j].text.as_str())
                     && j + 1 < toks.len()
-                    && is_punct(&toks[j + 1], "(")
+                    && toks[j + 1].is_punct("(")
                 {
                     method = Some(j);
                     break;
@@ -201,10 +193,10 @@ pub(crate) fn acquisition_at(tokens: &[Token], i: usize) -> Option<usize> {
     if tokens[i].kind == TokKind::Ident
         && GUARD_METHODS.contains(&tokens[i].text.as_str())
         && i >= 2
-        && is_punct(&tokens[i - 1], ".")
+        && tokens[i - 1].is_punct(".")
         && i + 2 < tokens.len()
-        && is_punct(&tokens[i + 1], "(")
-        && is_punct(&tokens[i + 2], ")")
+        && tokens[i + 1].is_punct("(")
+        && tokens[i + 2].is_punct(")")
     {
         Some(i)
     } else {
@@ -231,21 +223,21 @@ fn l005_condvar_predicate_loop(files: &[SourceFile]) -> Vec<Finding> {
             let mut i = bstart;
             while i < bend {
                 let t = &toks[i];
-                if is_ident(t, "loop") || is_ident(t, "while") {
+                if t.is_ident("loop") || t.is_ident("while") {
                     pending_loop = true;
-                } else if is_punct(t, "{") {
+                } else if t.is_punct("{") {
                     loop_stack.push(pending_loop);
                     pending_loop = false;
-                } else if is_punct(t, "}") {
+                } else if t.is_punct("}") {
                     loop_stack.pop();
                 } else if t.kind == TokKind::Ident
                     && (t.text == "wait" || t.text == "wait_timeout")
                     && i >= 1
-                    && is_punct(&toks[i - 1], ".")
+                    && toks[i - 1].is_punct(".")
                     && i + 1 < bend
-                    && is_punct(&toks[i + 1], "(")
+                    && toks[i + 1].is_punct("(")
                     && i + 2 < bend
-                    && !is_punct(&toks[i + 2], ")")
+                    && !toks[i + 2].is_punct(")")
                 {
                     // Zero-arg `.wait()` is not a Condvar wait (those take
                     // the guard); requiring an argument avoids unrelated
@@ -305,9 +297,9 @@ fn l006_missing_error_panic_docs(files: &[SourceFile]) -> Vec<Finding> {
             let mut returns_result = false;
             let mut seen_arrow = false;
             for t in &toks[func.sig.0..func.sig.1] {
-                if is_punct(t, "->") {
+                if t.is_punct("->") {
                     seen_arrow = true;
-                } else if seen_arrow && is_ident(t, "Result") {
+                } else if seen_arrow && t.is_ident("Result") {
                     returns_result = true;
                     break;
                 }
@@ -317,7 +309,7 @@ fn l006_missing_error_panic_docs(files: &[SourceFile]) -> Vec<Finding> {
                 let t = &toks[i];
                 if t.kind == TokKind::Ident
                     && i + 1 < bend
-                    && is_punct(&toks[i + 1], "!")
+                    && toks[i + 1].is_punct("!")
                     && PANIC_MACROS.contains(&t.text.as_str())
                 {
                     can_panic = true;
@@ -326,9 +318,9 @@ fn l006_missing_error_panic_docs(files: &[SourceFile]) -> Vec<Finding> {
                 if t.kind == TokKind::Ident
                     && (t.text == "unwrap" || t.text == "expect")
                     && i >= 1
-                    && is_punct(&toks[i - 1], ".")
+                    && toks[i - 1].is_punct(".")
                     && i + 1 < bend
-                    && is_punct(&toks[i + 1], "(")
+                    && toks[i + 1].is_punct("(")
                 {
                     can_panic = true;
                     break;

@@ -21,7 +21,7 @@
 //! cycle appears; a lock-free alternative producer is a documented source of
 //! false positives, silenced with `// lint-ok: L011 <reason>`.
 //!
-//! [`walk_node`] is the analyzer's only live-guard tracker: whatever it sees
+//! `walk_node` is the analyzer's only live-guard tracker: whatever it sees
 //! block under a guard — `send`/`recv`/`sleep`/`join`/`cv.wait` on the spot,
 //! or a call whose callee summary blocks — is an L012 finding.
 
@@ -39,14 +39,6 @@ use crate::{Finding, Rule};
 pub struct WaitAnalysis {
     pub graph: LockGraph,
     pub l012: Vec<Finding>,
-}
-
-fn is_punct(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Punct && t.text == s
-}
-
-fn is_ident(t: &Token, s: &str) -> bool {
-    t.kind == TokKind::Ident && t.text == s
 }
 
 struct Guard {
@@ -117,22 +109,22 @@ fn walk_node(
             }
         }
         let t = &toks[i];
-        if is_punct(t, "{") {
+        if t.is_punct("{") {
             depth += 1;
-        } else if is_punct(t, "}") {
+        } else if t.is_punct("}") {
             depth -= 1;
             guards.retain(|g| g.depth <= depth);
-        } else if is_ident(t, "drop")
+        } else if t.is_ident("drop")
             && i + 3 < bend
-            && is_punct(&toks[i + 1], "(")
+            && toks[i + 1].is_punct("(")
             && toks[i + 2].kind == TokKind::Ident
-            && is_punct(&toks[i + 3], ")")
+            && toks[i + 3].is_punct(")")
         {
             let name = &toks[i + 2].text;
             guards.retain(|g| &g.bound != name);
             i += 4;
             continue;
-        } else if is_ident(t, "let") && pending.is_none() {
+        } else if t.is_ident("let") && pending.is_none() {
             if let Some((g, end)) = guard_binding(toks, i, bend, depth) {
                 pending = Some((g, end));
             }
@@ -152,8 +144,8 @@ fn walk_node(
                     );
                 }
             }
-        } else if t.kind == TokKind::Ident && i + 1 < bend && is_punct(&toks[i + 1], "(") {
-            let method = i >= 1 && is_punct(&toks[i - 1], ".");
+        } else if t.kind == TokKind::Ident && i + 1 < bend && toks[i + 1].is_punct("(") {
+            let method = i >= 1 && toks[i - 1].is_punct(".");
             let name = t.text.as_str();
             let site = Site {
                 file: f.rel.clone(),
@@ -191,7 +183,7 @@ fn walk_node(
             } else if method
                 && (name == "wait" || name == "wait_timeout")
                 && i + 2 < bend
-                && !is_punct(&toks[i + 2], ")")
+                && !toks[i + 2].is_punct(")")
             {
                 let cv = receiver_of_call(toks, i).unwrap_or_else(|| "condvar".to_string());
                 // The waited guard is the first argument; it is released by
@@ -301,7 +293,7 @@ fn push_l012(out: &mut Vec<Finding>, f: &SourceFile, line: u32, message: String)
 /// returns the guard plus the statement-end token index.
 fn guard_binding(toks: &[Token], i: usize, bend: usize, depth: i32) -> Option<(Guard, usize)> {
     let mut j = i + 1;
-    if j < bend && is_ident(&toks[j], "mut") {
+    if j < bend && toks[j].is_ident("mut") {
         j += 1;
     }
     let bound = (j < bend && toks[j].kind == TokKind::Ident).then(|| toks[j].text.clone())?;
@@ -328,11 +320,10 @@ fn guard_binding(toks: &[Token], i: usize, bend: usize, depth: i32) -> Option<(G
     let (m, acq_end) = last_acq?;
     let mut tail = acq_end;
     if tail + 1 < bend
-        && is_punct(&toks[tail], ".")
-        && (is_ident(&toks[tail + 1], "expect") || is_ident(&toks[tail + 1], "unwrap"))
+        && toks[tail].is_punct(".")
+        && (toks[tail + 1].is_ident("expect") || toks[tail + 1].is_ident("unwrap"))
     {
-        if let Some(open) = (tail + 2 < bend && is_punct(&toks[tail + 2], "(")).then_some(tail + 2)
-        {
+        if let Some(open) = (tail + 2 < bend && toks[tail + 2].is_punct("(")).then_some(tail + 2) {
             tail = match_paren(toks, open);
         }
     }

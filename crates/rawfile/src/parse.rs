@@ -338,17 +338,24 @@ fn parse_i64(bytes: &[u8], line: u64, column: usize) -> Result<i64> {
     if digits.is_empty() {
         return Err(err("sign without digits"));
     }
-    let mut acc: i64 = 0;
+    // The magnitude is accumulated unsigned: `i64::MIN`'s does not fit a
+    // positive `i64`.
+    let mut acc: u64 = 0;
     for &b in digits {
         if !b.is_ascii_digit() {
             return Err(err("invalid digit"));
         }
         acc = acc
             .checked_mul(10)
-            .and_then(|a| a.checked_add((b - b'0') as i64))
+            .and_then(|a| a.checked_add((b - b'0') as u64))
             .ok_or_else(|| err("integer overflow"))?;
     }
-    Ok(if neg { -acc } else { acc })
+    let value = if neg {
+        0i64.checked_sub_unsigned(acc)
+    } else {
+        i64::try_from(acc).ok()
+    };
+    value.ok_or_else(|| err("integer overflow"))
 }
 
 fn parse_f64(bytes: &[u8], line: u64, column: usize) -> Result<f64> {
@@ -460,6 +467,40 @@ mod tests {
         assert_eq!(ints(&b, 0), vec![1, 40]);
         assert_eq!(ints(&b, 1), vec![2, 50]);
         assert_eq!(ints(&b, 2), vec![3, 60]);
+    }
+
+    #[test]
+    fn integer_edges_match_the_reference() {
+        // A second column keeps the empty field a row of its own for
+        // `str::lines`.
+        let schema = Schema::uniform_ints(2);
+        for field in [
+            "-9223372036854775808",
+            "9223372036854775807",
+            "-9223372036854775809",
+            "9223372036854775808",
+            "-0",
+            "+5",
+            "-",
+            "+",
+            "",
+        ] {
+            let kernel = parse_i64(field.as_bytes(), 0, 0).ok();
+            let text = format!("{field},0");
+            let reference = reference::parse_rows(&text, TextDialect::CSV, &schema, &[0])
+                .ok()
+                .map(|rows| match rows[0][0] {
+                    Value::Int(v) => v,
+                    ref other => panic!("expected an int, got {other:?}"),
+                });
+            assert_eq!(kernel, reference, "field {field:?}");
+        }
+        assert_eq!(parse_i64(b"-9223372036854775808", 0, 0).unwrap(), i64::MIN);
+        let overflow = parse_i64(b"-9223372036854775809", 0, 0).unwrap_err();
+        assert!(
+            overflow.to_string().contains("integer overflow"),
+            "{overflow}"
+        );
     }
 
     #[test]

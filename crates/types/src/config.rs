@@ -124,7 +124,9 @@ impl ScanRawConfig {
     /// # Errors
     ///
     /// Fails when a size parameter (`chunk_rows`, buffer capacities, cache
-    /// capacity, worker count) is zero.
+    /// capacity) is zero, or when invisible loading is asked to write zero
+    /// chunks per query. `workers: 0` is accepted: it is the paper's
+    /// sequential regime.
     pub fn validate(&self) -> Result<()> {
         if self.chunk_rows == 0 {
             return Err(Error::Config("chunk_rows must be positive".into()));

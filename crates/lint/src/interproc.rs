@@ -164,7 +164,7 @@ mod tests {
     }
 
     #[test]
-    fn l013_reports_called_fn_not_closure_body() {
+    fn l013_reports_panic_in_called_fn() {
         let fs = run(&[(
             "crates/core/src/worker.rs",
             "fn run(rx: Receiver<u32>) {\n    thread::spawn(move || {\n        step(None);\n    });\n}\nfn step(x: Option<u32>) {\n    let v = x.unwrap();\n    drop(v);\n}\n",

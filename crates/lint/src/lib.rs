@@ -359,7 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn l002_unwrap_in_spawn_flagged_only_in_scoped_crates() {
+    fn l013_unwrap_in_spawn_flagged_only_in_scoped_crates() {
         let src = r#"
 fn f(rx: Receiver<u32>) {
     thread::spawn(move || {
@@ -376,7 +376,7 @@ fn f(rx: Receiver<u32>) {
     }
 
     #[test]
-    fn l003_inversion_across_functions() {
+    fn l011_lock_inversion_across_functions() {
         let src = r#"
 fn ab(a: &Mutex<u32>, b: &Mutex<u32>) {
     let ga = a.lock();
@@ -404,7 +404,7 @@ fn ba(a: &Mutex<u32>, b: &Mutex<u32>) {
     }
 
     #[test]
-    fn l003_consistent_order_is_clean() {
+    fn l011_consistent_lock_order_is_clean() {
         let src = r#"
 fn ab(a: &Mutex<u32>, b: &Mutex<u32>) {
     let ga = a.lock();
@@ -423,7 +423,7 @@ fn ab2(a: &Mutex<u32>, b: &Mutex<u32>) {
     }
 
     #[test]
-    fn l003_scope_exit_releases_guard() {
+    fn l011_scope_exit_releases_guard() {
         // The inner guard dies with its block, so the second acquisition
         // does not create an edge.
         let src = r#"
@@ -448,7 +448,7 @@ fn g(b: &Mutex<u32>, a: &Mutex<u32>) {
     }
 
     #[test]
-    fn l004_send_under_guard() {
+    fn l012_send_under_guard() {
         let src = r#"
 fn f(m: &Mutex<u32>, tx: &Sender<u32>) {
     let g = m.lock();
@@ -467,7 +467,7 @@ fn f(m: &Mutex<u32>, tx: &Sender<u32>) {
     }
 
     #[test]
-    fn l004_send_after_drop_is_clean() {
+    fn l012_send_after_drop_is_clean() {
         let src = r#"
 fn f(m: &Mutex<u32>, tx: &Sender<u32>) {
     let g = m.lock();

@@ -28,12 +28,11 @@ use parking_lot::Mutex;
 use scanraw_obs::trace::{self, worker_label, SpanCtx};
 use scanraw_obs::{Obs, ObsEvent};
 use scanraw_rawfile::chunker::{read_chunk_at, ChunkReader};
-use scanraw_rawfile::parse::{parse_chunk_filtered, RowFilter};
-use scanraw_rawfile::{parse_chunk_projected, tokenize_chunk_selective, TextDialect};
+use scanraw_rawfile::{ConversionPlan, TextDialect};
 use scanraw_storage::{Database, TableEntry};
 use scanraw_types::{
     BinaryChunk, ChunkId, ChunkMeta, Error, PositionalMap, RangePredicate, Result, ScanRawConfig,
-    Schema, TextChunk, Value,
+    Schema, TextChunk,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -51,7 +50,7 @@ pub struct PushdownFilter {
 }
 
 /// Shared row predicate: receives the pushed-down columns' values, in order.
-pub type RowPredicateFn = Arc<dyn Fn(&[Value]) -> bool + Send + Sync>;
+pub type RowPredicateFn = scanraw_rawfile::RowPredicate;
 
 impl std::fmt::Debug for PushdownFilter {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -156,9 +155,9 @@ pub use crate::stream::ScanSummary;
 /// from it.
 pub(crate) struct RawJob {
     text: TextChunk,
-    /// Columns to convert (ascending): the scan's conversion set, or for a
-    /// hybrid read only the ones the database lacks.
-    convert_cols: Arc<[usize]>,
+    /// What to tokenize and convert: the scan's plan, or for a hybrid read
+    /// the plan of the columns the database lacks.
+    plan: Arc<ConversionPlan>,
     /// Columns already loaded and read from the database, to be merged with
     /// the freshly converted ones (hybrid reads, §3.2.1).
     base: Option<Arc<BinaryChunk>>,
@@ -172,7 +171,7 @@ impl RawJob {
     fn plain(text: TextChunk, ctx: &Arc<ScanCtx>) -> Self {
         RawJob {
             text,
-            convert_cols: ctx.convert_cols.clone(),
+            plan: ctx.plan.clone(),
             base: None,
             ctx: ctx.clone(),
         }
@@ -199,9 +198,11 @@ pub(crate) struct ScanCtx {
     queue: Arc<ScanQueue>,
     /// Columns the query reads; a delivered chunk must cover them.
     projection: Vec<usize>,
-    /// Columns a raw chunk of this scan is converted into (ascending).
-    convert_cols: Arc<[usize]>,
-    pushdown: Option<Arc<PushdownFilter>>,
+    /// How a raw chunk of this scan is converted, push-down selection
+    /// included.
+    plan: Arc<ConversionPlan>,
+    /// The plans of hybrid reads, one per distinct set of missing columns.
+    hybrid_plans: Mutex<Vec<Arc<ConversionPlan>>>,
     /// Worker-pool size of this scan (0 = sequential regime).
     workers: usize,
     /// The scan's span context; pipeline threads pin it as their ambient
@@ -500,9 +501,9 @@ impl ScanRaw {
                 )));
             }
         }
-        let convert_cols: Arc<[usize]> = match request.convert {
+        let convert_cols: Vec<usize> = match request.convert {
             ConvertScope::AllColumns => (0..self.schema.len()).collect(),
-            ConvertScope::ProjectionOnly => needed.as_slice().into(),
+            ConvertScope::ProjectionOnly => needed.clone(),
         };
         if let Some(pd) = &request.pushdown {
             for &c in &pd.columns {
@@ -516,6 +517,10 @@ impl ScanRaw {
                 ));
             }
         }
+        // Every conversion decision of the scan, taken here once.
+        let pushdown = request.pushdown.as_deref();
+        let pushdown = pushdown.map(|pd| (&pd.columns[..], pd.predicate.clone()));
+        let conversion = ConversionPlan::new(&self.schema, self.dialect, &convert_cols, pushdown)?;
         // Register the effective projection in the query-history heat: the
         // speculative scheduler prioritizes the cells hot queries touch.
         self.heat.observe(&needed);
@@ -558,8 +563,8 @@ impl ScanRaw {
             counters: counters.clone(),
             queue: queue.clone(),
             projection: needed,
-            convert_cols,
-            pushdown: request.pushdown,
+            plan: Arc::new(conversion),
+            hybrid_plans: Mutex::new(Vec::new()),
             workers,
             trace: scan_span,
         });
@@ -816,11 +821,12 @@ impl ScanRaw {
         if source == ChunkSource::Hybrid {
             // Loaded columns from the database, the missing ones converted
             // from the raw file and merged (§3.2.1).
-            if let Ok((loaded, base)) = self.load_loaded(meta, &ctx.convert_cols, &[]) {
-                let missing = ctx.convert_cols.iter().copied();
+            let convert_cols: Vec<usize> = ctx.plan.columns().collect();
+            if let Ok((loaded, base)) = self.load_loaded(meta, &convert_cols, &[]) {
+                let missing = convert_cols.into_iter().filter(|c| !loaded.contains(c));
                 fetched = Some(Fetched::Text(RawJob {
                     text: raw_text()?,
-                    convert_cols: missing.filter(|c| !loaded.contains(c)).collect(),
+                    plan: self.hybrid_plan(ctx, missing.collect())?,
                     base: Some(Arc::new(base)),
                     ctx: ctx.clone(),
                 }));
@@ -936,12 +942,33 @@ impl ScanRaw {
     // Conversion (TOKENIZE + PARSE + MAP) and delivery
     // ----------------------------------------------------------------------
 
+    /// The plan converting the `missing` columns of a hybrid read: made when
+    /// the scan first meets that set, shared by every later chunk lacking
+    /// the same columns.
+    fn hybrid_plan(&self, ctx: &ScanCtx, missing: Vec<usize>) -> Result<Arc<ConversionPlan>> {
+        let mut plans = ctx.hybrid_plans.lock();
+        let known = plans
+            .iter()
+            .find(|p| p.columns().eq(missing.iter().copied()));
+        if let Some(plan) = known {
+            return Ok(plan.clone());
+        }
+        let plan = Arc::new(ConversionPlan::new(
+            &self.schema,
+            self.dialect,
+            &missing,
+            None,
+        )?);
+        plans.push(plan.clone());
+        Ok(plan)
+    }
+
     /// Runs TOKENIZE (with optional map caching) for one raw job.
     fn tokenize(&self, job: &RawJob) -> Result<PositionalMap> {
         let chunk = &job.text;
         // Selective tokenizing maps the attributes up to the last one
         // converted; PARSE never looks beyond it.
-        let cols_mapped = job.convert_cols.last().map_or(1, |&c| c + 1);
+        let cols_mapped = job.plan.cols_mapped();
         if let Some(cache) = &self.map_cache {
             if let Some(map) = cache.lock().get(&chunk.id) {
                 // A cached map with at least the needed prefix is reusable;
@@ -952,7 +979,7 @@ impl ScanRaw {
             }
         }
         let map = self.cpu_stage(Stage::Tokenize, Some(("tokenize.chunk", chunk.id)), || {
-            tokenize_chunk_selective(chunk, self.dialect, self.schema.len(), cols_mapped)
+            job.plan.tokenize(chunk)
         })?;
         if let Some(cache) = &self.map_cache {
             cache.lock().insert(chunk.id, map.clone());
@@ -985,31 +1012,9 @@ impl ScanRaw {
     /// selection and hybrid column merging.
     fn parse_job(&self, job: &RawJob, map: &PositionalMap) -> Result<BinaryChunk> {
         let chunk = &job.text;
-        let filtered = job.ctx.pushdown.is_some();
+        let filtered = job.plan.filters_rows();
         let bin = self.cpu_stage(Stage::Parse, Some(("parse.chunk", chunk.id)), || {
-            let mut bin = match &job.ctx.pushdown {
-                Some(pd) => {
-                    let filter = RowFilter {
-                        columns: &pd.columns,
-                        predicate: &*pd.predicate,
-                    };
-                    parse_chunk_filtered(
-                        chunk,
-                        map,
-                        self.dialect,
-                        &self.schema,
-                        &job.convert_cols,
-                        &filter,
-                    )?
-                }
-                None => parse_chunk_projected(
-                    chunk,
-                    map,
-                    self.dialect,
-                    &self.schema,
-                    &job.convert_cols,
-                )?,
-            };
+            let mut bin = job.plan.parse(chunk, map)?;
             // Hybrid merge: graft the database-loaded columns onto the
             // freshly converted ones (row counts must agree — both sides are
             // the same chunk; push-down is rejected for hybrid jobs at plan
@@ -1062,7 +1067,7 @@ impl ScanRaw {
         if !ctx.send(bin.clone()) {
             return false;
         }
-        if ctx.pushdown.is_some() {
+        if ctx.plan.filters_rows() {
             return true;
         }
         let present = bin.present_columns();

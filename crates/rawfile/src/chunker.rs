@@ -12,6 +12,7 @@
 //! the catalog so later queries can read any chunk directly, out of order, or
 //! skip it altogether (paper §3.2.1, READ thread optimizations).
 
+use crate::swar::find_byte;
 use bytes::Bytes;
 use scanraw_simio::SimDisk;
 use scanraw_types::{ChunkId, ChunkLayout, ChunkMeta, Error, Result, TextChunk};
@@ -73,25 +74,28 @@ impl ChunkReader {
         if self.finished {
             return Ok(None);
         }
-        // Collect newline positions inside `carry` until we have chunk_rows
-        // lines or the file is exhausted.
-        let mut line_ends: Vec<usize> = Vec::with_capacity(self.chunk_rows as usize);
-        let mut scan_from = 0usize;
-        loop {
-            for (i, &b) in self.carry[scan_from..].iter().enumerate() {
-                if b == b'\n' {
-                    line_ends.push(scan_from + i);
-                    if line_ends.len() == self.chunk_rows as usize {
-                        break;
-                    }
-                }
+        // Count the lines of `carry`, fetching more of the file whenever it
+        // runs out, until there are chunk_rows of them or the file ends.
+        let mut rows = 0u32;
+        // End of the last complete line, and how far the search has come.
+        let (mut chunk_bytes, mut searched) = (0usize, 0usize);
+        while rows < self.chunk_rows {
+            if let Some(newline) = find_byte(&self.carry, searched, b'\n', b'\n') {
+                rows += 1;
+                chunk_bytes = newline + 1;
+                searched = chunk_bytes;
+                continue;
             }
-            if line_ends.len() == self.chunk_rows as usize {
-                break;
-            }
-            scan_from = self.carry.len();
+            searched = self.carry.len();
             if self.fetch_pos >= self.file_len {
-                break; // no more bytes to fetch
+                // EOF: emit whatever is left. A final line without trailing
+                // newline still counts as a row.
+                self.finished = true;
+                if chunk_bytes < searched {
+                    rows += 1;
+                    chunk_bytes = searched;
+                }
+                break;
             }
             let want = self
                 .block_bytes
@@ -106,43 +110,24 @@ impl ChunkReader {
             self.fetch_pos += want as u64;
             self.carry.extend_from_slice(&block);
         }
-
-        // Determine the byte span of the chunk within `carry`.
-        let (chunk_bytes, rows) = if line_ends.len() == self.chunk_rows as usize {
-            (line_ends[line_ends.len() - 1] + 1, line_ends.len() as u32)
-        } else {
-            // EOF: emit whatever is left. A final line without trailing
-            // newline still counts as a row.
-            self.finished = true;
-            let total = self.carry.len();
-            let mut rows = line_ends.len() as u32;
-            let last_end = line_ends.last().map(|e| e + 1).unwrap_or(0);
-            if last_end < total {
-                rows += 1; // unterminated final line
-            }
-            (total, rows)
-        };
-
         if rows == 0 {
-            self.finished = true;
             return Ok(None);
         }
 
-        let data: Vec<u8> = self.carry.drain(..chunk_bytes).collect();
+        // The chunk is copied out once, into a buffer of exactly its size;
+        // the carry keeps its allocation and the short tail moves to its
+        // front.
         let chunk = TextChunk {
             id: ChunkId(self.next_id),
             file_offset: self.carry_offset,
             first_row: self.next_row,
             rows,
-            data: Bytes::from(data),
+            data: Bytes::copy_from_slice(&self.carry[..chunk_bytes]),
         };
+        self.carry.drain(..chunk_bytes);
         self.carry_offset += chunk_bytes as u64;
         self.next_row += rows as u64;
         self.next_id += 1;
-        if self.finished && !self.carry.is_empty() {
-            // Defensive: all bytes must be consumed at EOF.
-            return Err(Error::io("chunker left unconsumed bytes at EOF"));
-        }
         Ok(Some(chunk))
     }
 

@@ -7,268 +7,187 @@
 //! exactly as in the ScanRaw architecture ("MAP is not an independent stage
 //! anymore … it is contained in PARSE", §3.1).
 //!
-//! Optimizations implemented from the paper:
+//! [`ConversionPlan::parse`] is the one conversion loop. What the paper
+//! lists as separate optimizations are properties of its plan and its map:
 //!
-//! * **selective parsing** — only projected columns are converted
-//!   ([`parse_chunk_projected`]);
-//! * **partial positional maps** — columns beyond the tokenized prefix are
-//!   located by scanning forward from the closest mapped attribute;
-//! * **push-down selection** — predicate columns parsed first, remaining
-//!   columns parsed only for qualifying rows ([`parse_chunk_filtered`]).
+//! * **selective parsing** — only the plan's columns are converted;
+//! * **partial positional maps** — a column beyond the map's prefix is found
+//!   by scanning forward from the last mapped attribute;
+//! * **push-down selection** — the predicate's columns are converted first,
+//!   the plan's columns only for the rows it keeps.
+//!
+//! An `Int64` field takes a word-at-a-time path when it is an optional sign
+//! and at most sixteen digits; every other spelling, valid or not, goes to
+//! the checked [`parse_i64`], so what is accepted and every error are its.
 
 use crate::dialect::TextDialect;
+use crate::plan::{ConversionPlan, PlanColumn};
+use crate::swar::find_byte;
 use scanraw_types::{
     BinaryChunk, ColumnData, DataType, Error, PositionalMap, Result, Schema, TextChunk, Value,
 };
 
-/// Push-down selection: a predicate over a set of columns evaluated during
-/// parsing, before the remaining columns are converted (paper §2, PARSE).
-pub struct RowFilter<'a> {
-    /// Columns the predicate needs (parsed first).
-    pub columns: &'a [usize],
-    /// Returns true when the row qualifies; receives the values of
-    /// `columns`, in the same order.
-    pub predicate: &'a (dyn Fn(&[Value]) -> bool + Sync),
-}
-
-/// Parses every column of the schema. Equivalent to
-/// [`parse_chunk_projected`] with the full projection.
-pub fn parse_chunk(
-    chunk: &TextChunk,
-    map: &PositionalMap,
-    dialect: TextDialect,
-    schema: &Schema,
-) -> Result<BinaryChunk> {
-    let all: Vec<usize> = (0..schema.len()).collect();
-    parse_chunk_projected(chunk, map, dialect, schema, &all)
-}
-
-/// Selective parsing: converts only the `projection` columns, leaving the
-/// rest absent (`None`) in the produced [`BinaryChunk`].
-pub fn parse_chunk_projected(
-    chunk: &TextChunk,
-    map: &PositionalMap,
-    dialect: TextDialect,
-    schema: &Schema,
-    projection: &[usize],
-) -> Result<BinaryChunk> {
-    for &c in projection {
-        if c >= schema.len() {
+impl ConversionPlan {
+    /// Converts the plan's columns of `chunk`, whose attributes `map` (from
+    /// [`tokenize`](Self::tokenize) under this or any other plan) locates;
+    /// the other column slots of the produced chunk stay `None`. Under a
+    /// push-down selection the chunk holds the qualifying rows only.
+    ///
+    /// # Errors
+    ///
+    /// `Error::Parse` for the first field, in row then column order, that
+    /// is not a value of its column's type; `Error::Tokenize` for a line
+    /// that ends before a column beyond the map's prefix; `Error::Schema`
+    /// when `map` was not made for `chunk`.
+    pub fn parse(&self, chunk: &TextChunk, map: &PositionalMap) -> Result<BinaryChunk> {
+        let data = &chunk.data[..];
+        let mapped = map.cols_mapped() as usize;
+        let covers = map.line_starts().last().map(|&end| end as usize);
+        if map.rows() != chunk.rows || mapped == 0 || covers != Some(data.len()) {
             return Err(Error::Schema(format!(
-                "projection column {c} out of range for schema of {}",
-                schema.len()
+                "positional map ({} rows x {mapped}, {covers:?} bytes) is not of {} ({} rows, {} bytes)",
+                map.rows(),
+                chunk.id,
+                chunk.rows,
+                data.len()
             )));
         }
-    }
-    let mut builders: Vec<(usize, ColumnBuilder)> = projection
-        .iter()
-        .map(|&c| {
-            (
-                c,
-                ColumnBuilder::new(
-                    schema.field(c).expect("checked").data_type,
-                    chunk.rows as usize,
-                ),
-            )
-        })
-        .collect();
-
-    let mut sorted: Vec<usize> = projection.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-
-    let mut spans: Vec<(u32, u32)> = vec![(0, 0); schema.len()];
-    for row in 0..chunk.rows {
-        locate_row(chunk, map, dialect, row, &sorted, &mut spans)?;
-        for (c, b) in builders.iter_mut() {
-            let (s, e) = spans[*c];
-            b.push(
-                &chunk.data[s as usize..e as usize],
-                chunk.first_row + row as u64,
-                *c,
-            )?;
-        }
-    }
-
-    let mut out = BinaryChunk::empty(chunk.id, chunk.first_row, chunk.rows, schema.len());
-    for (c, b) in builders {
-        out.columns[c] = Some(b.finish());
-    }
-    Ok(out)
-}
-
-/// Push-down selection: parses `filter.columns`, evaluates the predicate per
-/// row, and parses the remaining projected columns only for qualifying rows.
-///
-/// Returns the filtered chunk (only qualifying rows) and the per-chunk
-/// qualifying row count. The returned chunk keeps the source `ChunkId` but
-/// its `rows` is the selected count; it is intended for immediate query
-/// consumption, not for loading (the paper explains the bookkeeping cost of
-/// loading filtered chunks is prohibitive, §2 WRITE).
-pub fn parse_chunk_filtered(
-    chunk: &TextChunk,
-    map: &PositionalMap,
-    dialect: TextDialect,
-    schema: &Schema,
-    projection: &[usize],
-    filter: &RowFilter<'_>,
-) -> Result<BinaryChunk> {
-    // Columns needed at predicate time.
-    let mut pred_sorted: Vec<usize> = filter.columns.to_vec();
-    pred_sorted.sort_unstable();
-    pred_sorted.dedup();
-    // Columns parsed only for qualifying rows.
-    let rest: Vec<usize> = projection
-        .iter()
-        .copied()
-        .filter(|c| !filter.columns.contains(c))
-        .collect();
-    let mut rest_sorted = rest.clone();
-    rest_sorted.sort_unstable();
-    rest_sorted.dedup();
-
-    for &c in projection.iter().chain(filter.columns) {
-        if c >= schema.len() {
-            return Err(Error::Schema(format!("column {c} out of range")));
-        }
-    }
-
-    let mut pred_builders: Vec<(usize, ColumnBuilder)> = filter
-        .columns
-        .iter()
-        .filter(|c| projection.contains(c))
-        .map(|&c| {
-            (
-                c,
-                ColumnBuilder::new(schema.field(c).expect("checked").data_type, 0),
-            )
-        })
-        .collect();
-    let mut rest_builders: Vec<(usize, ColumnBuilder)> = rest
-        .iter()
-        .map(|&c| {
-            (
-                c,
-                ColumnBuilder::new(schema.field(c).expect("checked").data_type, 0),
-            )
-        })
-        .collect();
-
-    let mut spans: Vec<(u32, u32)> = vec![(0, 0); schema.len()];
-    let mut pred_values: Vec<Value> = Vec::with_capacity(filter.columns.len());
-    let mut selected = 0u32;
-
-    for row in 0..chunk.rows {
-        locate_row(chunk, map, dialect, row, &pred_sorted, &mut spans)?;
-        pred_values.clear();
-        for &c in filter.columns {
-            let (s, e) = spans[c];
-            let dt = schema.field(c).expect("checked").data_type;
-            pred_values.push(parse_value(
-                &chunk.data[s as usize..e as usize],
-                dt,
-                chunk.first_row + row as u64,
-                c,
-            )?);
-        }
-        if !(filter.predicate)(&pred_values) {
-            continue;
-        }
-        selected += 1;
-        for (i, &c) in filter.columns.iter().enumerate() {
-            if let Some((_, b)) = pred_builders.iter_mut().find(|(bc, _)| *bc == c) {
-                b.push_value(pred_values[i].clone());
-            }
-        }
-        if !rest_sorted.is_empty() {
-            locate_row(chunk, map, dialect, row, &rest_sorted, &mut spans)?;
-            for (c, b) in rest_builders.iter_mut() {
-                let (s, e) = spans[*c];
-                b.push(
-                    &chunk.data[s as usize..e as usize],
-                    chunk.first_row + row as u64,
-                    *c,
-                )?;
-            }
-        }
-    }
-
-    let mut out = BinaryChunk::empty(chunk.id, chunk.first_row, selected, schema.len());
-    for (c, b) in pred_builders.into_iter().chain(rest_builders) {
-        out.columns[c] = Some(b.finish());
-    }
-    Ok(out)
-}
-
-/// Computes the byte span (start, end) of each column in `wanted` (ascending)
-/// for `row`, writing into `spans`. Uses the positional map for the mapped
-/// prefix and forward delimiter scanning beyond it.
-fn locate_row(
-    chunk: &TextChunk,
-    map: &PositionalMap,
-    dialect: TextDialect,
-    row: u32,
-    wanted_sorted: &[usize],
-    spans: &mut [(u32, u32)],
-) -> Result<()> {
-    let data = &chunk.data[..];
-    let (line_start, line_end) = map.line_span(row);
-    // Trim the line terminator (and a possible carriage return).
-    let mut content_end = line_end;
-    if content_end > line_start && data[content_end as usize - 1] == b'\n' {
-        content_end -= 1;
-    }
-    if content_end > line_start && data[content_end as usize - 1] == b'\r' {
-        content_end -= 1;
-    }
-    let delim = dialect.delimiter;
-    let mapped = map.cols_mapped() as usize;
-
-    for &col in wanted_sorted {
-        let start = if col < mapped {
-            map.attr_start(row, col as u32).expect("within prefix")
-        } else {
-            // Scan forward from the closest mapped attribute (the partial
-            // positional-map strategy of §2).
-            let anchor_col = mapped - 1;
-            let mut pos = map.attr_start(row, anchor_col as u32).expect("prefix");
-            let mut cur = anchor_col;
-            while cur < col {
-                let mut p = pos as usize;
-                while p < content_end as usize && data[p] != delim {
-                    p += 1;
-                }
-                if p >= content_end as usize {
-                    return Err(Error::Tokenize {
-                        line: chunk.first_row + row as u64,
-                        message: format!(
-                            "expected at least {} attributes, found {}",
-                            col + 1,
-                            cur + 1
-                        ),
-                    });
-                }
-                pos = (p + 1) as u32;
-                cur += 1;
-            }
-            pos
+        let capacity = match self.pushdown {
+            Some(_) => 0,
+            None => chunk.rows as usize,
         };
-        // The attribute ends at the next delimiter or the content end.
-        let end = if col + 1 < mapped {
-            map.attr_start(row, col as u32 + 1).expect("prefix") - 1
-        } else {
-            let mut p = start as usize;
-            while p < content_end as usize && data[p] != delim {
-                p += 1;
+        let mut builders: Vec<ColumnBuilder> = (self.columns.iter())
+            .map(|c| ColumnBuilder::new(c.data_type, capacity))
+            .collect();
+        let mut pred_values: Vec<Value> = Vec::new();
+        let mut selected = 0u32;
+
+        let rows = (map.attr_starts().chunks_exact(mapped)).zip(map.line_starts().windows(2));
+        for (row, (starts, line)) in rows.enumerate() {
+            let fields = LineFields {
+                data,
+                delimiter: self.delimiter,
+                starts,
+                line_end: line[1] as usize,
+                line: chunk.first_row + row as u64,
+            };
+            if let Some(pd) = &self.pushdown {
+                pred_values.clear();
+                let mut cursor = fields.cursor();
+                for col in &pd.columns {
+                    let (s, e) = fields.span(col.index, &mut cursor)?;
+                    pred_values.push(fields.value(col, s, e)?);
+                }
+                if !(pd.predicate)(&pred_values) {
+                    continue;
+                }
             }
-            p as u32
-        };
-        spans[col] = (start, end);
+            selected += 1;
+            let mut cursor = fields.cursor();
+            for (col, builder) in self.columns.iter().zip(&mut builders) {
+                let (s, e) = fields.span(col.index, &mut cursor)?;
+                builder.push(&fields, col, s, e)?;
+            }
+        }
+
+        let mut out = BinaryChunk::empty(chunk.id, chunk.first_row, selected, self.width);
+        for (col, builder) in self.columns.iter().zip(builders) {
+            out.columns[col.index] = Some(builder.finish());
+        }
+        Ok(out)
     }
-    Ok(())
 }
 
-/// Typed column accumulator (the MAP organization step).
+/// One line of a chunk with its row of the positional map.
+struct LineFields<'a> {
+    data: &'a [u8],
+    delimiter: u8,
+    /// Starts of the line's mapped attributes (never empty).
+    starts: &'a [u32],
+    /// End of the line, terminator included.
+    line_end: usize,
+    /// File-wide line number, for errors.
+    line: u64,
+}
+
+impl LineFields<'_> {
+    /// Where a forward scan starts: the last mapped attribute and its start.
+    fn cursor(&self) -> (usize, usize) {
+        let last = self.starts.len() - 1;
+        (last, self.starts[last] as usize)
+    }
+
+    /// Byte span of attribute `col`, which the map gives for all but the
+    /// last attribute of its prefix.
+    #[inline]
+    fn span(&self, col: usize, cursor: &mut (usize, usize)) -> Result<(usize, usize)> {
+        match self.starts.get(col..col + 2) {
+            Some(&[start, next]) => Ok((start as usize, next as usize - 1)),
+            _ => self.scan_to(col, cursor),
+        }
+    }
+
+    /// Span of attribute `col`, the last mapped one or one beyond it, by a
+    /// delimiter scan forward from `cursor`: the closest attribute whose
+    /// start is known (the partial positional-map strategy of §2).
+    fn scan_to(&self, col: usize, cursor: &mut (usize, usize)) -> Result<(usize, usize)> {
+        let data = self.data;
+        // The content ends before the terminator (and a carriage return).
+        let line_start = self.starts[0] as usize;
+        let mut end = self.line_end;
+        if end > line_start && data[end - 1] == b'\n' {
+            end -= 1;
+        }
+        if end > line_start && data[end - 1] == b'\r' {
+            end -= 1;
+        }
+        // The next delimiter, or the content end: the first newline from
+        // inside a line is the line's own.
+        let stop = |from| match find_byte(data, from, self.delimiter, b'\n') {
+            Some(at) => at.min(end),
+            None => end,
+        };
+        if col < cursor.0 {
+            *cursor = self.cursor();
+        }
+        while cursor.0 < col {
+            let at = stop(cursor.1);
+            if at == end {
+                return Err(Error::Tokenize {
+                    line: self.line,
+                    message: format!(
+                        "expected at least {} attributes, found {}",
+                        col + 1,
+                        cursor.0 + 1
+                    ),
+                });
+            }
+            *cursor = (cursor.0 + 1, at + 1);
+        }
+        Ok((cursor.1, stop(cursor.1)))
+    }
+
+    #[inline]
+    fn int(&self, col: &PlanColumn, s: usize, e: usize) -> Result<i64> {
+        match swar_i64(self.data, s, e) {
+            Some(value) => Ok(value),
+            None => parse_i64(&self.data[s..e], self.line, col.index),
+        }
+    }
+
+    /// One attribute as a dynamic value (push-down selection).
+    fn value(&self, col: &PlanColumn, s: usize, e: usize) -> Result<Value> {
+        let bytes = &self.data[s..e];
+        Ok(match col.data_type {
+            DataType::Int64 => Value::Int(self.int(col, s, e)?),
+            DataType::Float64 => Value::Float(parse_f64(bytes, self.line, col.index)?),
+            DataType::Utf8 => Value::Str(parse_str(bytes, self.line, col.index)?),
+        })
+    }
+}
+
+/// Typed column accumulator (the MAP organization step): the converter of a
+/// column is the variant its type selected when the plan was made.
 enum ColumnBuilder {
     Int64(Vec<i64>),
     Float64(Vec<f64>),
@@ -284,22 +203,21 @@ impl ColumnBuilder {
         }
     }
 
-    fn push(&mut self, bytes: &[u8], line: u64, column: usize) -> Result<()> {
+    #[inline]
+    fn push(
+        &mut self,
+        fields: &LineFields<'_>,
+        col: &PlanColumn,
+        s: usize,
+        e: usize,
+    ) -> Result<()> {
+        let (data, line) = (fields.data, fields.line);
         match self {
-            ColumnBuilder::Int64(v) => v.push(parse_i64(bytes, line, column)?),
-            ColumnBuilder::Float64(v) => v.push(parse_f64(bytes, line, column)?),
-            ColumnBuilder::Utf8(v) => v.push(parse_str(bytes, line, column)?),
+            ColumnBuilder::Int64(v) => v.push(fields.int(col, s, e)?),
+            ColumnBuilder::Float64(v) => v.push(parse_f64(&data[s..e], line, col.index)?),
+            ColumnBuilder::Utf8(v) => v.push(parse_str(&data[s..e], line, col.index)?),
         }
         Ok(())
-    }
-
-    fn push_value(&mut self, value: Value) {
-        match (self, value) {
-            (ColumnBuilder::Int64(v), Value::Int(x)) => v.push(x),
-            (ColumnBuilder::Float64(v), Value::Float(x)) => v.push(x),
-            (ColumnBuilder::Utf8(v), Value::Str(x)) => v.push(x),
-            _ => unreachable!("builder/value type mismatch is prevented by construction"),
-        }
     }
 
     fn finish(self) -> ColumnData {
@@ -311,29 +229,67 @@ impl ColumnBuilder {
     }
 }
 
-/// Parses one attribute as a dynamic value (used by push-down selection).
-fn parse_value(bytes: &[u8], dt: DataType, line: u64, column: usize) -> Result<Value> {
-    Ok(match dt {
-        DataType::Int64 => Value::Int(parse_i64(bytes, line, column)?),
-        DataType::Float64 => Value::Float(parse_f64(bytes, line, column)?),
-        DataType::Utf8 => Value::Str(parse_str(bytes, line, column)?),
-    })
+/// `byte` in every lane of two words.
+const fn splat(byte: u8) -> u128 {
+    u128::from_ne_bytes([byte; 16])
 }
 
-/// Fast decimal integer parser (the `atoi` of paper §2) with overflow checks.
+/// Folds eight decimal digit lanes (values 0–9, most significant in the
+/// lowest byte) into their number: pairs, then fours, then all eight.
+fn fold_digits(lanes: u64) -> u64 {
+    let pairs = (lanes.wrapping_mul(10) + (lanes >> 8)) & 0x00ff_00ff_00ff_00ff;
+    let fours = (pairs.wrapping_mul(100) + (pairs >> 16)) & 0x0000_ffff_0000_ffff;
+    (fours.wrapping_mul(10_000) + (fours >> 32)) & 0xffff_ffff
+}
+
+/// The integer spelled by `data[s..e]` when that is an optional sign and one
+/// to sixteen decimal digits, read as the sixteen bytes that end at `e`.
+/// `None` — not that shape, or closer than sixteen bytes to the chunk start
+/// — leaves the field to [`parse_i64`]; sixteen digits cannot overflow, so
+/// the two agree wherever this answers.
+#[inline]
+fn swar_i64(data: &[u8], s: usize, e: usize) -> Option<i64> {
+    let window: &[u8; 16] = data.get(e.checked_sub(16)?..e)?.first_chunk()?;
+    let digits_from = |from: usize| -> Option<i64> {
+        let digits = e.checked_sub(from).filter(|n| (1..=16).contains(n))?;
+        // Lanes hold byte ^ '0': 0–9 for a digit. Those before the first
+        // digit count as leading zeros.
+        let lanes = u128::from_le_bytes(*window) ^ splat(b'0');
+        let lanes = lanes & (u128::MAX << (8 * (16 - digits)));
+        // A lane above 9 carries into its bit 7 when 0x76 is added, or has
+        // it set.
+        if (lanes.wrapping_add(splat(0x76)) | lanes) & splat(0x80) != 0 {
+            return None;
+        }
+        let (high, low) = (fold_digits(lanes as u64), fold_digits((lanes >> 64) as u64));
+        Some((high * 100_000_000 + low) as i64)
+    };
+    // All digits is the common case; a sign is looked for when it is not.
+    match digits_from(s) {
+        Some(value) => Some(value),
+        None => match data.get(s)? {
+            b'-' => digits_from(s + 1).map(|magnitude| -magnitude),
+            b'+' => digits_from(s + 1),
+            _ => None,
+        },
+    }
+}
+
+/// Checked decimal integer parser (the `atoi` of paper §2): an optional
+/// sign and digits, surrounded by whitespace as `str::trim` sees it — the
+/// rule of [`reference::parse_rows`].
 fn parse_i64(bytes: &[u8], line: u64, column: usize) -> Result<i64> {
     let err = |m: &str| Error::Parse {
         line,
         column,
         message: format!("{m}: {:?}", String::from_utf8_lossy(bytes)),
     };
-    if bytes.is_empty() {
-        return Err(err("empty integer"));
-    }
-    let (neg, digits) = match bytes[0] {
-        b'-' => (true, &bytes[1..]),
-        b'+' => (false, &bytes[1..]),
-        _ => (false, bytes),
+    let trimmed = std::str::from_utf8(bytes).map_or(bytes, |s| s.trim().as_bytes());
+    let (neg, digits) = match trimmed {
+        [] => return Err(err("empty integer")),
+        [b'-', digits @ ..] => (true, digits),
+        [b'+', digits @ ..] => (false, digits),
+        digits => (false, digits),
     };
     if digits.is_empty() {
         return Err(err("sign without digits"));
@@ -379,6 +335,30 @@ fn parse_str(bytes: &[u8], line: u64, column: usize) -> Result<String> {
             column,
             message: "invalid utf-8 in string".into(),
         })
+}
+
+/// Converts every column of the schema: a one-chunk [`ConversionPlan`] for
+/// callers that convert a chunk or two.
+pub fn parse_chunk(
+    chunk: &TextChunk,
+    map: &PositionalMap,
+    dialect: TextDialect,
+    schema: &Schema,
+) -> Result<BinaryChunk> {
+    let all: Vec<usize> = (0..schema.len()).collect();
+    parse_chunk_projected(chunk, map, dialect, schema, &all)
+}
+
+/// Selective parsing: converts only the `projection` columns, leaving the
+/// rest absent (`None`) in the produced [`BinaryChunk`].
+pub fn parse_chunk_projected(
+    chunk: &TextChunk,
+    map: &PositionalMap,
+    dialect: TextDialect,
+    schema: &Schema,
+    projection: &[usize],
+) -> Result<BinaryChunk> {
+    ConversionPlan::new(schema, dialect, projection, None)?.parse(chunk, map)
 }
 
 /// Reference row-wise implementation used by tests and property checks: split
@@ -436,9 +416,11 @@ pub mod reference {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::RowPredicate;
     use crate::tokenize::{tokenize_chunk, tokenize_chunk_selective};
     use bytes::Bytes;
     use scanraw_types::ChunkId;
+    use std::sync::Arc;
 
     fn chunk(text: &str, rows: u32) -> TextChunk {
         TextChunk {
@@ -484,8 +466,22 @@ mod tests {
             "-",
             "+",
             "",
+            // The oracle trims whitespace around an integer.
+            " 5",
+            "5 ",
+            "\t-7 ",
+            " ",
+            "- 5",
+            "1 2",
+            "\u{a0}5",
         ] {
             let kernel = parse_i64(field.as_bytes(), 0, 0).ok();
+            // The same field through the plan, far enough into the chunk
+            // for the word-at-a-time path to look at it first.
+            let padded = chunk(&format!("{:016},0\n{field},0\n", 0), 2);
+            let m = tokenize_chunk(&padded, TextDialect::CSV, 2).unwrap();
+            let planned = parse_chunk_projected(&padded, &m, TextDialect::CSV, &schema, &[0]);
+            assert_eq!(planned.ok().map(|b| ints(&b, 0)[1]), kernel, "{field:?}");
             let text = format!("{field},0");
             let reference = reference::parse_rows(&text, TextDialect::CSV, &schema, &[0])
                 .ok()
@@ -585,12 +581,10 @@ mod tests {
     fn pushdown_selection_filters_rows() {
         let c = chunk("1,10\n2,20\n3,30\n4,40\n", 4);
         let schema = Schema::uniform_ints(2);
-        let m = tokenize_chunk(&c, TextDialect::CSV, 2).unwrap();
-        let filter = RowFilter {
-            columns: &[0],
-            predicate: &|vals: &[Value]| vals[0].as_i64().unwrap() % 2 == 0,
-        };
-        let b = parse_chunk_filtered(&c, &m, TextDialect::CSV, &schema, &[0, 1], &filter).unwrap();
+        let even: RowPredicate = Arc::new(|vals: &[Value]| vals[0].as_i64().unwrap() % 2 == 0);
+        let plan =
+            ConversionPlan::new(&schema, TextDialect::CSV, &[0, 1], Some((&[0], even))).unwrap();
+        let b = plan.parse(&c, &plan.tokenize(&c).unwrap()).unwrap();
         assert_eq!(b.rows, 2);
         assert_eq!(ints(&b, 0), vec![2, 4]);
         assert_eq!(ints(&b, 1), vec![20, 40]);
@@ -600,15 +594,29 @@ mod tests {
     fn pushdown_with_predicate_column_not_projected() {
         let c = chunk("1,10\n2,20\n", 2);
         let schema = Schema::uniform_ints(2);
-        let m = tokenize_chunk(&c, TextDialect::CSV, 2).unwrap();
-        let filter = RowFilter {
-            columns: &[0],
-            predicate: &|vals: &[Value]| vals[0].as_i64().unwrap() > 1,
-        };
-        let b = parse_chunk_filtered(&c, &m, TextDialect::CSV, &schema, &[1], &filter).unwrap();
+        // The predicate's columns arrive in its own order, here descending.
+        let above: RowPredicate = Arc::new(|vals: &[Value]| {
+            assert_eq!(vals.len(), 2);
+            vals[0].as_i64().unwrap() > 10 && vals[1].as_i64().unwrap() > 1
+        });
+        let plan =
+            ConversionPlan::new(&schema, TextDialect::CSV, &[1], Some((&[1, 0], above))).unwrap();
+        // A one-column map: the predicate's columns are found by scanning.
+        let m = tokenize_chunk_selective(&c, TextDialect::CSV, 2, 1).unwrap();
+        let b = plan.parse(&c, &m).unwrap();
         assert_eq!(b.rows, 1);
         assert!(b.column(0).is_none(), "predicate col not projected");
         assert_eq!(ints(&b, 1), vec![20]);
+    }
+
+    #[test]
+    fn a_map_of_another_chunk_is_rejected() {
+        let schema = Schema::uniform_ints(2);
+        let m = tokenize_chunk(&chunk("1,2\n3,4\n", 2), TextDialect::CSV, 2).unwrap();
+        for other in [chunk("1,2\n", 1), chunk("1,2\n3,45\n", 2)] {
+            let err = parse_chunk(&other, &m, TextDialect::CSV, &schema).unwrap_err();
+            assert!(matches!(err, Error::Schema(_)), "{err}");
+        }
     }
 
     #[test]

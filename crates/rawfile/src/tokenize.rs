@@ -4,18 +4,86 @@
 //! responsible for identifying the attributes of the tuple. The output is a
 //! vector containing the starting position for every attribute" (paper §2).
 //!
-//! Two variants are provided:
-//!
-//! * [`tokenize_chunk`] — full positional map over all `n_cols` attributes;
-//! * [`tokenize_chunk_selective`] — *selective tokenizing* (paper §2, citing
-//!   NoDB): the per-line scan stops at the end of the last attribute that will
-//!   be converted, producing a partial map; PARSE scans forward from the
-//!   closest mapped attribute for anything beyond the prefix.
+//! [`ConversionPlan::tokenize`] maps the first `cols_mapped` attributes of
+//! every line: all of them for a full map, a prefix for *selective
+//! tokenizing* (paper §2, citing NoDB), in which case PARSE scans forward
+//! from the last mapped attribute for anything beyond it. Both are one loop
+//! over [`find_byte`](crate::swar::find_byte): it looks for delimiters while a line's prefix is
+//! unmapped and for the newline alone after that.
 
 use crate::dialect::TextDialect;
+use crate::plan::ConversionPlan;
+use crate::swar::find_byte;
 use scanraw_types::{Error, PositionalMap, Result, TextChunk};
 
-/// Builds a full positional map of the first `n_cols` attributes per line.
+impl ConversionPlan {
+    /// Builds the positional map of `chunk`: per line, the start of each of
+    /// the first [`cols_mapped`](Self::cols_mapped) attributes.
+    ///
+    /// # Errors
+    ///
+    /// `Error::Tokenize` when a line holds fewer attributes than that, and
+    /// when the chunk holds more or fewer lines than it declares.
+    pub fn tokenize(&self, chunk: &TextChunk) -> Result<PositionalMap> {
+        let data = &chunk.data[..];
+        let rows = chunk.rows as usize;
+        let mismatch = |row: usize, message: String| Error::Tokenize {
+            line: chunk.first_row + row as u64,
+            message,
+        };
+        if u32::try_from(data.len()).is_err() {
+            let message = format!("chunk of {} bytes exceeds 32-bit offsets", data.len());
+            return Err(mismatch(0, message));
+        }
+        // Every line takes a byte at least, which also bounds the map.
+        if rows > data.len() {
+            let message = format!("chunk declares {rows} rows in {} bytes", data.len());
+            return Err(mismatch(data.len(), message));
+        }
+        let mut line_starts: Vec<u32> = Vec::with_capacity(rows + 1);
+        let mut attr_starts: Vec<u32> = Vec::with_capacity(rows * self.cols_mapped);
+        let mut pos = 0usize;
+        for row in 0..rows {
+            if pos == data.len() {
+                let message = format!("chunk declares {rows} rows but holds {row}");
+                return Err(mismatch(row, message));
+            }
+            line_starts.push(pos as u32);
+            // Attribute 0 starts at the line start.
+            attr_starts.push(pos as u32);
+            for found in 1..self.cols_mapped {
+                match find_byte(data, pos, self.delimiter, b'\n') {
+                    Some(at) if data[at] == self.delimiter => pos = at + 1,
+                    _ => {
+                        let expected = self.cols_mapped;
+                        let message =
+                            format!("expected at least {expected} attributes, found {found}");
+                        return Err(mismatch(row, message));
+                    }
+                }
+                attr_starts.push(pos as u32);
+            }
+            // The prefix is mapped: only the newline matters from here on. A
+            // last line may end the chunk without one.
+            pos = find_byte(data, pos, b'\n', b'\n').map_or(data.len(), |nl| nl + 1);
+        }
+        line_starts.push(pos as u32);
+        if pos != data.len() {
+            let left = data.len() - pos;
+            let message = format!("chunk declares {rows} rows but {left} bytes remain");
+            return Err(mismatch(rows, message));
+        }
+        PositionalMap::new(
+            chunk.rows,
+            self.cols_mapped as u32,
+            line_starts,
+            attr_starts,
+        )
+    }
+}
+
+/// Full positional map of `n_cols` attributes per line: a one-chunk
+/// [`ConversionPlan::prefix`] for callers that convert a chunk or two.
 pub fn tokenize_chunk(
     chunk: &TextChunk,
     dialect: TextDialect,
@@ -24,98 +92,15 @@ pub fn tokenize_chunk(
     tokenize_chunk_selective(chunk, dialect, n_cols, n_cols)
 }
 
-/// Builds a partial positional map with the first `cols_mapped` of `n_cols`
-/// attribute starts per line.
-///
-/// `cols_mapped` must be at least 1 and at most `n_cols`. Lines with fewer
-/// than `cols_mapped` attributes are an error (malformed input).
+/// Partial positional map of the first `cols_mapped` of `n_cols` attributes
+/// per line (`1 <= cols_mapped <= n_cols`).
 pub fn tokenize_chunk_selective(
     chunk: &TextChunk,
     dialect: TextDialect,
     n_cols: usize,
     cols_mapped: usize,
 ) -> Result<PositionalMap> {
-    if cols_mapped == 0 || cols_mapped > n_cols {
-        return Err(Error::Config(format!(
-            "cols_mapped must be in 1..={n_cols}, got {cols_mapped}"
-        )));
-    }
-    let data = &chunk.data[..];
-    let rows = chunk.rows as usize;
-    let delim = dialect.delimiter;
-
-    let mut line_starts: Vec<u32> = Vec::with_capacity(rows + 1);
-    let mut attr_starts: Vec<u32> = Vec::with_capacity(rows * cols_mapped);
-
-    let mut pos = 0usize;
-    for row in 0..rows {
-        line_starts.push(pos as u32);
-        // Attribute 0 starts at the line start.
-        attr_starts.push(pos as u32);
-        let mut found = 1usize;
-        // Selective scan: stop splitting once the prefix is mapped.
-        while found < cols_mapped {
-            match scan_until(data, pos, delim) {
-                ScanHit::Delim(at) => {
-                    attr_starts.push((at + 1) as u32);
-                    pos = at + 1;
-                    found += 1;
-                }
-                ScanHit::LineEnd | ScanHit::Eof => {
-                    return Err(Error::Tokenize {
-                        line: chunk.first_row + row as u64,
-                        message: format!(
-                            "expected at least {cols_mapped} attributes, found {found}"
-                        ),
-                    });
-                }
-            }
-        }
-        // Skip the remainder of the line looking only for the newline.
-        pos = match find_newline(data, pos) {
-            Some(nl) => nl + 1,
-            None => data.len(), // last line without trailing newline
-        };
-    }
-    line_starts.push(pos as u32);
-    if pos != data.len() {
-        return Err(Error::Tokenize {
-            line: chunk.first_row + rows as u64,
-            message: format!(
-                "chunk declares {rows} rows but {} bytes remain",
-                data.len() - pos
-            ),
-        });
-    }
-    PositionalMap::new(chunk.rows, cols_mapped as u32, line_starts, attr_starts)
-}
-
-enum ScanHit {
-    /// Delimiter at this index.
-    Delim(usize),
-    /// Newline encountered before a delimiter.
-    LineEnd,
-    Eof,
-}
-
-/// Scans from `from` for the next delimiter, stopping at a newline.
-fn scan_until(data: &[u8], from: usize, delim: u8) -> ScanHit {
-    for (i, &b) in data[from..].iter().enumerate() {
-        if b == delim {
-            return ScanHit::Delim(from + i);
-        }
-        if b == b'\n' {
-            return ScanHit::LineEnd;
-        }
-    }
-    ScanHit::Eof
-}
-
-fn find_newline(data: &[u8], from: usize) -> Option<usize> {
-    data[from..]
-        .iter()
-        .position(|&b| b == b'\n')
-        .map(|i| from + i)
+    ConversionPlan::prefix(dialect, n_cols, cols_mapped)?.tokenize(chunk)
 }
 
 #[cfg(test)]
@@ -173,9 +158,26 @@ mod tests {
 
     #[test]
     fn row_count_mismatch_detected() {
-        let c = chunk("1\n2\n3\n", 2); // declares 2 rows, has 3
-        let err = tokenize_chunk(&c, TextDialect::CSV, 1).unwrap_err();
-        assert!(matches!(err, Error::Tokenize { .. }));
+        // Three lines of three attributes, declared as more and as fewer,
+        // for a one-attribute prefix, a partial one and the full map.
+        let c = |rows| chunk("1,2,3\n4,5,6\n7,8,9\n", rows);
+        for cols_mapped in [1, 2, 3] {
+            let tokenize =
+                |rows| tokenize_chunk_selective(&c(rows), TextDialect::CSV, 3, cols_mapped);
+            assert!(tokenize(3).is_ok());
+            for declared in [2, 4, 6] {
+                let err = tokenize(declared).unwrap_err();
+                assert!(
+                    matches!(err, Error::Tokenize { .. }),
+                    "{declared} rows declared, {cols_mapped} mapped: {err}"
+                );
+            }
+        }
+        // The phantom rows of a one-attribute prefix: `a` is one row.
+        let err = tokenize_chunk(&chunk("a\n", 3), TextDialect::CSV, 1).unwrap_err();
+        assert!(matches!(err, Error::Tokenize { .. }), "{err}");
+        let err = tokenize_chunk(&chunk("alpha\n", 3), TextDialect::CSV, 1).unwrap_err();
+        assert!(matches!(err, Error::Tokenize { line: 1, .. }), "{err}");
     }
 
     #[test]

@@ -131,6 +131,16 @@ impl PositionalMap {
         }
     }
 
+    /// Line start offsets plus the final sentinel: `rows + 1` entries.
+    pub fn line_starts(&self) -> &[u32] {
+        &self.line_starts
+    }
+
+    /// Every mapped attribute start, row-major: `rows * cols_mapped` entries.
+    pub fn attr_starts(&self) -> &[u32] {
+        &self.attr_starts
+    }
+
     /// Approximate heap size, used for buffer accounting.
     pub fn size_bytes(&self) -> usize {
         (self.line_starts.len() + self.attr_starts.len()) * std::mem::size_of::<u32>()

@@ -11,12 +11,122 @@
 //! which of its present columns are durably stored, so the speculative
 //! scheduler can pick individual cells and the eviction bias only applies
 //! once *every* present cell is stored.
+//!
+//! The order itself is [`LoadBiasedLru`], which the pipeline simulator
+//! (`scanraw-pipesim`) keeps its cache in as well.
 
 use parking_lot::Mutex;
 use scanraw_obs::{Counter, Obs, ObsEvent};
 use scanraw_types::{BinaryChunk, ChunkId};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
+
+/// A cache's eviction order and capacity (§3.1): the victim is the least
+/// recently used entry among those whose every cell is loaded in the
+/// database, or the least recently used of all when none is. Each entry
+/// also keeps when it was admitted, which is what "oldest" means to the
+/// speculative pick (§4).
+#[derive(Debug)]
+pub struct LoadBiasedLru<K, V> {
+    map: HashMap<K, Slot<V>>,
+    capacity: usize,
+    /// Last recency stamp handed out (larger = more recently used).
+    stamp: u64,
+    /// Last admission sequence handed out (smaller = older).
+    seq: u64,
+}
+
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
+    stamp: u64,
+    seq: u64,
+}
+
+impl<K: Copy + Eq + Hash, V> LoadBiasedLru<K, V> {
+    /// An empty order holding at most `capacity` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero — a zero-capacity cache could never
+    /// admit the entry being inserted and would evict on every call.
+    pub fn new(capacity: usize) -> Self {
+        assert!(capacity > 0, "cache capacity must be positive");
+        LoadBiasedLru {
+            map: HashMap::with_capacity(capacity),
+            capacity,
+            stamp: 0,
+            seq: 0,
+        }
+    }
+
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// The value of `key`, leaving its recency alone.
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.map.get(key).map(|s| &s.value)
+    }
+
+    /// The value of `key` for update, leaving its recency alone.
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        self.map.get_mut(key).map(|s| &mut s.value)
+    }
+
+    /// Makes `key` the most recently used entry and returns its value.
+    pub fn touch(&mut self, key: &K) -> Option<&mut V> {
+        self.stamp += 1;
+        let stamp = self.stamp;
+        let slot = self.map.get_mut(key)?;
+        slot.stamp = stamp;
+        Some(&mut slot.value)
+    }
+
+    /// Admits `key`, which must not be resident, as the most recently used
+    /// and the newest entry. When the order is full, first evicts and
+    /// returns the victim, `loaded` telling which entries have every cell in
+    /// the database.
+    pub fn admit(&mut self, key: K, value: V, loaded: impl Fn(&K, &V) -> bool) -> Option<(K, V)> {
+        debug_assert!(!self.map.contains_key(&key), "admitted a resident key");
+        let mut victim = None;
+        if self.map.len() >= self.capacity {
+            victim = self.victim(loaded).and_then(|k| self.map.remove_entry(&k));
+        }
+        self.stamp += 1;
+        self.seq += 1;
+        let (stamp, seq) = (self.stamp, self.seq);
+        self.map.insert(key, Slot { value, stamp, seq });
+        victim.map(|(k, slot)| (k, slot.value))
+    }
+
+    fn victim(&self, loaded: impl Fn(&K, &V) -> bool) -> Option<K> {
+        let lru = |loaded_only: bool| {
+            self.map
+                .iter()
+                .filter(|(k, s)| !loaded_only || loaded(k, &s.value))
+                .min_by_key(|(_, s)| s.stamp)
+                .map(|(k, _)| *k)
+        };
+        lru(true).or_else(|| lru(false))
+    }
+
+    /// Every entry, the earliest admitted first.
+    pub fn oldest_first(&self) -> Vec<(&K, &V)> {
+        let mut slots: Vec<_> = self.map.iter().collect();
+        slots.sort_unstable_by_key(|(_, s)| s.seq);
+        slots.into_iter().map(|(k, s)| (k, &s.value)).collect()
+    }
+
+    pub fn clear(&mut self) {
+        self.map.clear();
+    }
+}
 
 /// Lifetime cache counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,11 +150,6 @@ struct Entry {
     /// `loaded_cols[col]` — the (chunk, col) cell is stored in the database.
     /// Parallel to `chunk.columns`; absent columns carry a dead `false`.
     loaded_cols: Vec<bool>,
-    /// Monotonic recency stamp (larger = more recently used).
-    stamp: u64,
-    /// Monotonic insertion sequence (smaller = older; drives the speculative
-    /// "oldest unloaded cell" pick, §4).
-    seq: u64,
 }
 
 impl Entry {
@@ -100,10 +205,7 @@ fn loaded_bits(chunk: &BinaryChunk, loaded_cols: &[usize]) -> Vec<bool> {
 }
 
 struct Inner {
-    map: HashMap<ChunkId, Entry>,
-    capacity: usize,
-    next_stamp: u64,
-    next_seq: u64,
+    entries: LoadBiasedLru<ChunkId, Entry>,
     /// Lifetime counters for observability and tests.
     counters: CacheCounters,
     /// Attached observability (metrics + journal); absent by default.
@@ -137,13 +239,9 @@ impl ChunkCache {
     /// Panics if `capacity` is zero — a zero-capacity cache could never
     /// admit the chunk being inserted and would evict on every call.
     pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "cache capacity must be positive");
         ChunkCache {
             inner: Arc::new(Mutex::new(Inner {
-                map: HashMap::with_capacity(capacity),
-                capacity,
-                next_stamp: 0,
-                next_seq: 0,
+                entries: LoadBiasedLru::new(capacity),
                 counters: CacheCounters::default(),
                 obs: None,
             })),
@@ -162,12 +260,8 @@ impl ChunkCache {
         self.inner.lock().obs = Some(cache_obs);
     }
 
-    pub fn capacity(&self) -> usize {
-        self.inner.lock().capacity
-    }
-
     pub fn len(&self) -> usize {
-        self.inner.lock().map.len()
+        self.inner.lock().entries.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -182,103 +276,75 @@ impl ChunkCache {
     /// every column the resident chunk had, so `covers` never turns false
     /// while the id stays resident.
     ///
-    /// Victim selection: least-recently-used among fully-loaded entries
-    /// first; only if every entry has missing cells, the globally
-    /// least-recently-used.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal victim bookkeeping desynchronizes from the
-    /// map — an invariant violation, not an input condition.
+    /// Victim selection is [`LoadBiasedLru`]'s, an entry counting as loaded
+    /// once every present cell is stored.
     pub fn insert(&self, chunk: Arc<BinaryChunk>, loaded_cols: &[usize]) -> Option<Evicted> {
         let mut g = self.inner.lock();
-        let stamp = g.bump_stamp();
-        let seq = g.bump_seq();
-        if let Some(e) = g.map.get_mut(&chunk.id) {
+        if let Some(e) = g.entries.touch(&chunk.id) {
             let chunk = keep_resident_columns(&e.chunk, chunk);
             let mut bits = loaded_bits(&chunk, loaded_cols);
-            for (i, old) in e.loaded_cols.iter().enumerate() {
-                if *old {
-                    if let Some(b) = bits.get_mut(i) {
-                        *b = true;
-                    }
-                }
+            for (b, old) in bits.iter_mut().zip(&e.loaded_cols) {
+                *b |= old;
             }
             e.chunk = chunk;
             e.loaded_cols = bits;
-            e.stamp = stamp;
             return None;
         }
-        let mut evicted = None;
-        if g.map.len() >= g.capacity {
-            if let Some(victim) = g.pick_victim() {
-                // lint-ok: L013 pick_victim returned a key of this same map
-                let e = g.map.remove(&victim).expect("victim exists");
-                g.counters.evictions += 1;
-                let loaded = e.is_loaded();
-                if let Some(o) = &g.obs {
-                    o.evict.inc();
-                    o.obs.event(ObsEvent::CacheEvict {
-                        chunk: victim.0 as u64,
-                        loaded,
-                    });
-                }
-                evicted = Some(Evicted {
-                    id: victim,
-                    missing_cols: e.missing_cols(),
-                    chunk: e.chunk,
-                    loaded,
-                });
-            }
+        let entry = Entry {
+            loaded_cols: loaded_bits(&chunk, loaded_cols),
+            chunk,
+        };
+        let (victim, e) = g
+            .entries
+            .admit(entry.chunk.id, entry, |_, e| e.is_loaded())?;
+        g.counters.evictions += 1;
+        let loaded = e.is_loaded();
+        if let Some(o) = &g.obs {
+            o.evict.inc();
+            o.obs.event(ObsEvent::CacheEvict {
+                chunk: victim.0 as u64,
+                loaded,
+            });
         }
-        let loaded_cols = loaded_bits(&chunk, loaded_cols);
-        g.map.insert(
-            chunk.id,
-            Entry {
-                chunk,
-                loaded_cols,
-                stamp,
-                seq,
-            },
-        );
-        evicted
+        Some(Evicted {
+            id: victim,
+            missing_cols: e.missing_cols(),
+            chunk: e.chunk,
+            loaded,
+        })
     }
 
     /// Looks up a chunk, refreshing its recency on hit.
     pub fn get(&self, id: ChunkId) -> Option<Arc<BinaryChunk>> {
         let mut g = self.inner.lock();
-        let stamp = g.bump_stamp();
-        match g.map.get_mut(&id) {
-            Some(e) => {
-                e.stamp = stamp;
-                g.counters.hits += 1;
-                if let Some(o) = &g.obs {
-                    o.hit.inc();
-                    o.obs.event(ObsEvent::CacheHit { chunk: id.0 as u64 });
-                }
-                Some(g.map[&id].chunk.clone())
+        let hit = g.entries.touch(&id).map(|e| e.chunk.clone());
+        let chunk = id.0 as u64;
+        if hit.is_some() {
+            g.counters.hits += 1;
+            if let Some(o) = &g.obs {
+                o.hit.inc();
+                o.obs.event(ObsEvent::CacheHit { chunk });
             }
-            None => {
-                g.counters.misses += 1;
-                if let Some(o) = &g.obs {
-                    o.miss.inc();
-                    o.obs.event(ObsEvent::CacheMiss { chunk: id.0 as u64 });
-                }
-                None
+        } else {
+            g.counters.misses += 1;
+            if let Some(o) = &g.obs {
+                o.miss.inc();
+                o.obs.event(ObsEvent::CacheMiss { chunk });
             }
         }
+        hit
     }
 
     /// Looks up without refreshing recency or counters (introspection).
     pub fn peek(&self, id: ChunkId) -> Option<Arc<BinaryChunk>> {
-        self.inner.lock().map.get(&id).map(|e| e.chunk.clone())
+        self.inner.lock().entries.get(&id).map(|e| e.chunk.clone())
     }
 
     /// True when the cached copy of `id` contains every column in `cols`.
     pub fn covers(&self, id: ChunkId, cols: &[usize]) -> bool {
         self.inner
             .lock()
-            .map
+            .entries
             .get(&id)
             .is_some_and(|e| e.chunk.covers(cols))
     }
@@ -286,7 +352,7 @@ impl ChunkCache {
     /// Marks (chunk, col) cells of a cached chunk as stored in the database
     /// (no-op if absent). Cell-granular: only the named columns flip.
     pub fn mark_loaded(&self, id: ChunkId, cols: &[usize]) {
-        if let Some(e) = self.inner.lock().map.get_mut(&id) {
+        if let Some(e) = self.inner.lock().entries.get_mut(&id) {
             for &c in cols {
                 if let Some(b) = e.loaded_cols.get_mut(c) {
                     *b = true;
@@ -301,21 +367,23 @@ impl ChunkCache {
     /// at chunk×column granularity).
     pub fn unloaded_cells(&self) -> Vec<(Arc<BinaryChunk>, Vec<usize>)> {
         let g = self.inner.lock();
-        let mut v: Vec<(u64, Arc<BinaryChunk>, Vec<usize>)> = g
-            .map
-            .values()
-            .filter_map(|e| {
+        let oldest_first = g.entries.oldest_first().into_iter();
+        oldest_first
+            .filter_map(|(_, e)| {
                 let missing = e.missing_cols();
-                (!missing.is_empty()).then(|| (e.seq, e.chunk.clone(), missing))
+                (!missing.is_empty()).then(|| (e.chunk.clone(), missing))
             })
-            .collect();
-        v.sort_by_key(|(seq, _, _)| *seq);
-        v.into_iter().map(|(_, c, m)| (c, m)).collect()
+            .collect()
     }
 
-    /// Ids of everything currently cached (unordered).
+    /// Ids of everything currently cached, oldest first.
     pub fn cached_ids(&self) -> Vec<ChunkId> {
-        self.inner.lock().map.keys().copied().collect()
+        let g = self.inner.lock();
+        g.entries
+            .oldest_first()
+            .into_iter()
+            .map(|(id, _)| *id)
+            .collect()
     }
 
     /// Lifetime hit/miss/eviction counters.
@@ -325,36 +393,7 @@ impl ChunkCache {
 
     /// Drops every entry (used by tests and operator teardown).
     pub fn clear(&self) {
-        self.inner.lock().map.clear();
-    }
-}
-
-impl Inner {
-    fn bump_stamp(&mut self) -> u64 {
-        self.next_stamp += 1;
-        self.next_stamp
-    }
-
-    fn bump_seq(&mut self) -> u64 {
-        self.next_seq += 1;
-        self.next_seq
-    }
-
-    fn pick_victim(&self) -> Option<ChunkId> {
-        // LRU among fully-loaded chunks first …
-        if let Some((id, _)) = self
-            .map
-            .iter()
-            .filter(|(_, e)| e.is_loaded())
-            .min_by_key(|(_, e)| e.stamp)
-        {
-            return Some(*id);
-        }
-        // … otherwise plain LRU.
-        self.map
-            .iter()
-            .min_by_key(|(_, e)| e.stamp)
-            .map(|(id, _)| *id)
+        self.inner.lock().entries.clear();
     }
 }
 

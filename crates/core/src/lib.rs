@@ -23,10 +23,11 @@
 //!   order and READ is one loop over it: each chunk is fetched from its
 //!   planned source (cache, database, hybrid, raw) or, when that source no
 //!   longer has it, from the next one down.
-//! * [`scheduler`] — the event-driven scheduler implementing the WRITE
-//!   policies of [`WritePolicy`]: external tables, eager ETL, buffered,
+//! * [`scheduler`] — [`LoadPolicy`], the one implementation of the WRITE
+//!   policies of [`WritePolicy`] (external tables, eager ETL, buffered,
 //!   invisible, and the paper's speculative loading with its end-of-scan
-//!   safeguard (§4).
+//!   safeguard, §4), and the scheduler thread that runs it over the scan's
+//!   control messages. The pipeline simulator runs the same type.
 //! * `queue` (crate-private) — the per-scan work queue: the text-chunks
 //!   buffer, the position buffer and the engine's EXEC lane behind one lock.
 //!   READ blocks on it, workers block on it, and closing it is how a scan
@@ -35,7 +36,8 @@
 //!   handle, and the one teardown behind `finish` and `Drop`, which closes
 //!   the queue and joins the threads.
 //! * [`cache`] — the binary chunks cache: LRU biased toward evicting chunks
-//!   already loaded in the database (§3.1 "Caching").
+//!   already loaded in the database (§3.1 "Caching"), an order
+//!   ([`LoadBiasedLru`]) the pipeline simulator keeps as well.
 //! * [`profile`] — time per stage (the data behind Figure 5): a typed view
 //!   over the six `pipeline.stage.*.nanos` histograms of the operator's
 //!   metrics registry, the only place stage time is kept.
@@ -67,12 +69,12 @@ mod retry;
 pub mod scheduler;
 pub mod stream;
 
-pub use cache::{CacheCounters, ChunkCache};
+pub use cache::{CacheCounters, ChunkCache, LoadBiasedLru};
 pub use operator::{
     ChunkSource, ConvertScope, PushdownFilter, ResourceAdvice, ScanRaw, ScanRequest, ScanSummary,
 };
 pub use profile::{Profiler, Stage};
 pub use registry::OperatorRegistry;
 pub use scanraw_types::{ScanRawConfig, WritePolicy};
-pub use scheduler::{ColumnHeat, SchedulerReport};
+pub use scheduler::{ColumnHeat, LoadEvent, LoadHost, LoadPolicy, SchedulerReport, Trigger};
 pub use stream::{ChunkStream, ExecHandle, ExecTask};

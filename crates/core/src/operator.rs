@@ -34,7 +34,6 @@ use scanraw_types::{
     BinaryChunk, ChunkId, ChunkMeta, Error, PositionalMap, RangePredicate, Result, ScanRawConfig,
     Schema, TextChunk,
 };
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -242,8 +241,6 @@ pub struct ScanRaw {
     /// Current worker-pool size; starts at `config.workers`, adjustable via
     /// [`ScanRaw::set_workers`] (resource-manager feedback, §3.3).
     workers: AtomicUsize,
-    /// Positional maps cached across scans (None unless configured).
-    map_cache: Option<Mutex<HashMap<ChunkId, PositionalMap>>>,
     /// True once a full sequential scan recorded the complete chunk layout.
     layout_known: AtomicBool,
 }
@@ -295,11 +292,6 @@ impl ScanRaw {
             }
         }
         let cache = ChunkCache::new(config.binary_cache_chunks);
-        let map_cache_init = if config.cache_positional_maps {
-            Some(Mutex::new(HashMap::new()))
-        } else {
-            None
-        };
         // Journal timestamps follow the device clock so events line up with
         // simulated I/O; metrics are clock-agnostic.
         let obs_clock = db.disk().clock().clone();
@@ -342,7 +334,6 @@ impl ScanRaw {
             writer,
             heat: Arc::new(ColumnHeat::new()),
             workers,
-            map_cache: map_cache_init,
             layout_known: AtomicBool::new(layout_known),
         }))
     }
@@ -672,7 +663,6 @@ impl ScanRaw {
         let layout = entry
             .layout()
             .ok_or_else(|| Error::storage("layout flag set but catalog has no layout"))?;
-        let skip = skip.filter(|_| self.config.chunk_skipping);
         for meta in layout.iter() {
             if skip.is_some_and(|pred| entry.prunes(meta.id, pred)) {
                 plan.skipped += 1;
@@ -963,28 +953,13 @@ impl ScanRaw {
         Ok(plan)
     }
 
-    /// Runs TOKENIZE (with optional map caching) for one raw job.
+    /// Runs TOKENIZE for one raw job: the plan maps the attributes up to
+    /// the last one converted; PARSE never looks beyond it.
     fn tokenize(&self, job: &RawJob) -> Result<PositionalMap> {
         let chunk = &job.text;
-        // Selective tokenizing maps the attributes up to the last one
-        // converted; PARSE never looks beyond it.
-        let cols_mapped = job.plan.cols_mapped();
-        if let Some(cache) = &self.map_cache {
-            if let Some(map) = cache.lock().get(&chunk.id) {
-                // A cached map with at least the needed prefix is reusable;
-                // PARSE scans forward beyond the prefix either way.
-                if map.cols_mapped() as usize >= cols_mapped {
-                    return Ok(map.clone());
-                }
-            }
-        }
-        let map = self.cpu_stage(Stage::Tokenize, Some(("tokenize.chunk", chunk.id)), || {
+        self.cpu_stage(Stage::Tokenize, Some(("tokenize.chunk", chunk.id)), || {
             job.plan.tokenize(chunk)
-        })?;
-        if let Some(cache) = &self.map_cache {
-            cache.lock().insert(chunk.id, map.clone());
-        }
-        Ok(map)
+        })
     }
 
     /// Runs `work` as one unit of a CPU stage (TOKENIZE, PARSE, EXEC), under
@@ -1049,9 +1024,6 @@ impl ScanRaw {
 
     /// Records conversion-time statistics into the catalog (§3.3).
     fn record_statistics(&self, bin: &BinaryChunk) -> Result<()> {
-        if !self.config.collect_statistics {
-            return Ok(());
-        }
         if self.config.advanced_statistics {
             self.db.catalog().record_stats_detailed(&self.table, bin)
         } else {

@@ -1,8 +1,10 @@
-//! The scheduler thread and the persistent WRITE thread.
+//! The loading policy, the scheduler thread that runs it, and the persistent
+//! WRITE thread.
 //!
 //! The scheduler receives control messages (paper Figure 3) from READ, the
-//! conversion workers, and WRITE, and decides *when to load* according to the
-//! configured [`WritePolicy`]:
+//! conversion workers, and WRITE, and hands them to the scan's
+//! [`LoadPolicy`], which decides *when to load* according to the configured
+//! [`WritePolicy`]:
 //!
 //! * **ExternalTables** — never writes;
 //! * **Eager** — every converted chunk is stored (parallel ETL);
@@ -29,19 +31,21 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use scanraw_obs::{EventJournal, Obs, ObsEvent, SpanCtx, WriteCause};
 use scanraw_storage::Database;
 use scanraw_types::{BinaryChunk, ChunkId, WritePolicy};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-/// Control messages flowing into the scheduler (paper Figure 3).
+/// The control messages of paper Figure 3, as a [`LoadPolicy`] takes them.
+/// `C` is how its host names a chunk and `V` an eviction victim.
 #[derive(Debug)]
-pub enum Event {
+pub enum LoadEvent<C, V> {
     /// A worker finished converting a chunk (it is cached and delivered).
-    Converted(Arc<BinaryChunk>),
+    Converted(C),
     /// The cache evicted a chunk to make room.
-    Evicted(Evicted),
+    Evicted(V),
     /// READ started waiting for room in the text-chunks buffer — the disk
-    /// is idle from now until [`Event::ReadResumed`].
+    /// is idle from now until [`LoadEvent::ReadResumed`].
     ReadBlocked,
     /// READ's waiting chunk got through (or the scan is shutting down).
     ReadResumed,
@@ -52,6 +56,9 @@ pub enum Event {
     /// The engine consumed the whole scan; the scheduler should wind down.
     QueryDone,
 }
+
+/// The control messages flowing into the operator's scheduler thread.
+pub type Event = LoadEvent<Arc<BinaryChunk>, Evicted>;
 
 /// Commands for the WRITE thread.
 pub(crate) enum WriteCmd {
@@ -421,6 +428,205 @@ impl SchedulerReport {
     }
 }
 
+/// Why a store is queued.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Trigger {
+    /// The policy's own rule for a converted or evicted chunk.
+    Policy(WriteCause),
+    /// READ is blocked, so the disk is idle (§4).
+    Speculative,
+    /// The end-of-scan flush of what is still unloaded (§4).
+    Safeguard,
+}
+
+/// What a [`LoadPolicy`] reads and does through whoever runs it: the
+/// operator's scheduler thread, or the pipeline simulator.
+pub trait LoadHost {
+    /// How the host names a chunk: the operator hands over the chunk
+    /// itself, the simulator its index.
+    type Chunk;
+    /// How the host reports an eviction.
+    type Victim;
+    fn chunk_id(chunk: &Self::Chunk) -> ChunkId;
+    /// The evicted chunk and its cells the database lacks (none when it is
+    /// loaded).
+    fn victim(&self, victim: Self::Victim) -> (Self::Chunk, Vec<usize>);
+    /// The cells a store of a just-converted chunk persists; none when the
+    /// database already holds every one of them.
+    fn unstored(&self, chunk: &Self::Chunk) -> Vec<usize>;
+    /// Every cached chunk with unloaded wanted cells, oldest first, with
+    /// those cells.
+    fn unloaded_wanted(&self) -> Vec<(Self::Chunk, Vec<usize>)>;
+    /// Hands a store to WRITE; false when WRITE did not take it.
+    fn store(&mut self, chunk: Self::Chunk, cells: &[usize], trigger: Trigger) -> bool;
+}
+
+/// The loading policy of one scan: which cells to store, when, and why, for
+/// every [`WritePolicy`]. A state machine with no thread, clock or channel;
+/// the operator's scheduler drives it from its event channel and the
+/// pipeline simulator from its event heap, so both run this one rule.
+#[derive(Debug)]
+pub struct LoadPolicy {
+    policy: WritePolicy,
+    /// Converted chunks still to store as they arrive: eager loading is
+    /// invisible loading without the quota.
+    quota: u64,
+    cause: WriteCause,
+    /// READ is blocked (between `ReadBlocked` and `ReadResumed`).
+    read_blocked: bool,
+    /// A speculative store is on its way; speculation stores one at a time.
+    write_in_flight: bool,
+    raw_scan_done: bool,
+    /// Cells handed to WRITE during this scan (idempotence guard).
+    queued: HashSet<(ChunkId, usize)>,
+    report: SchedulerReport,
+}
+
+impl LoadPolicy {
+    /// The policy of a new scan.
+    pub fn new(policy: WritePolicy) -> Self {
+        let (quota, cause) = match policy {
+            WritePolicy::Eager => (u64::MAX, WriteCause::Eager),
+            WritePolicy::Invisible { chunks_per_query } => {
+                (chunks_per_query as u64, WriteCause::Invisible)
+            }
+            _ => (0, WriteCause::Invisible),
+        };
+        LoadPolicy {
+            policy,
+            quota,
+            cause,
+            read_blocked: false,
+            write_in_flight: false,
+            raw_scan_done: false,
+            queued: HashSet::new(),
+            report: SchedulerReport::default(),
+        }
+    }
+
+    /// The stores this scan queued so far, by trigger.
+    pub fn report(&self) -> SchedulerReport {
+        self.report
+    }
+
+    /// Takes one event and hands `host` every store it decides on. Returns
+    /// how many stores a safeguard flush queued on this event (0 when none
+    /// ran), which the operator journals as one flush.
+    pub fn on<H: LoadHost>(&mut self, event: LoadEvent<H::Chunk, H::Victim>, host: &mut H) -> u64 {
+        let was_blocked = self.read_blocked;
+        let mut flushed = 0;
+        match event {
+            LoadEvent::Converted(chunk) if self.quota > 0 => {
+                let cells = host.unstored(&chunk);
+                let trigger = Trigger::Policy(self.cause);
+                if !cells.is_empty() && self.store(host, chunk, cells, trigger) {
+                    self.quota -= 1;
+                }
+            }
+            LoadEvent::Converted(_) => {}
+            LoadEvent::Evicted(victim) if self.policy == WritePolicy::Buffered => {
+                let (chunk, missing) = host.victim(victim);
+                if !missing.is_empty() {
+                    let trigger = Trigger::Policy(WriteCause::Eviction);
+                    self.store(host, chunk, missing, trigger);
+                }
+            }
+            LoadEvent::Evicted(_) => {}
+            LoadEvent::ReadBlocked => self.read_blocked = true,
+            LoadEvent::ReadResumed => self.read_blocked = false,
+            LoadEvent::WriteDone(_) => self.write_in_flight = false,
+            // Flush the cache's unloaded wanted cells; this overlaps the
+            // remainder of query processing (§4).
+            LoadEvent::RawScanComplete => {
+                self.raw_scan_done = true;
+                flushed = self.safeguard(host);
+            }
+            // Chunks that were still mid-pipeline when the raw scan
+            // completed missed the first safeguard pass; flush them now so
+            // every query is guaranteed to make loading progress. The writes
+            // overlap the next query (the barrier only delays its first
+            // device read).
+            LoadEvent::QueryDone => return self.safeguard(host),
+        }
+        // The speculative rule (§4), level-triggered: while READ is blocked
+        // the disk is idle, so store one chunk at a time — the oldest cached
+        // chunk with missing *wanted* cells not yet handed to WRITE during
+        // this scan. The level must have held since before this event: a
+        // window a worker closes a few microseconds after it opened is not
+        // an idle disk, and a store is as much CPU as a conversion. So the
+        // rule fires on whatever arrives while READ stays blocked — a
+        // conversion, an eviction, and the completion of the previous store.
+        if was_blocked
+            && self.read_blocked
+            && !self.write_in_flight
+            && matches!(self.policy, WritePolicy::Speculative { .. })
+        {
+            let next = self.unloaded_wanted(host).into_iter().next();
+            self.write_in_flight = next
+                .is_some_and(|(chunk, cells)| self.store(host, chunk, cells, Trigger::Speculative));
+        }
+        flushed
+    }
+
+    /// Hands one store to `host` and, when WRITE took it, remembers its
+    /// cells and counts it.
+    fn store<H: LoadHost>(
+        &mut self,
+        host: &mut H,
+        chunk: H::Chunk,
+        cells: Vec<usize>,
+        trigger: Trigger,
+    ) -> bool {
+        let id = H::chunk_id(&chunk);
+        if !host.store(chunk, &cells, trigger) {
+            return false;
+        }
+        self.queued.extend(cells.into_iter().map(|c| (id, c)));
+        let report = &mut self.report;
+        report.writes_queued += 1;
+        match trigger {
+            Trigger::Policy(cause) => {
+                report.eviction_writes += u64::from(cause == WriteCause::Eviction);
+            }
+            Trigger::Speculative => report.speculative_writes += 1,
+            Trigger::Safeguard => report.safeguard_writes += 1,
+        }
+        true
+    }
+
+    /// The host's cached chunks with unloaded wanted cells, oldest first,
+    /// less the cells already handed to WRITE during this scan.
+    fn unloaded_wanted<H: LoadHost>(&self, host: &H) -> Vec<(H::Chunk, Vec<usize>)> {
+        let unloaded = host.unloaded_wanted().into_iter();
+        unloaded
+            .filter_map(|(chunk, mut want)| {
+                let id = H::chunk_id(&chunk);
+                want.retain(|&c| !self.queued.contains(&(id, c)));
+                (!want.is_empty()).then_some((chunk, want))
+            })
+            .collect()
+    }
+
+    /// The end-of-scan safeguard (§4): once the raw scan is complete, a
+    /// store for every cached chunk with wanted cells still missing, oldest
+    /// first. Returns how many WRITE took.
+    fn safeguard<H: LoadHost>(&mut self, host: &mut H) -> u64 {
+        let enabled = matches!(self.policy, WritePolicy::Speculative { safeguard: true });
+        if !enabled || !self.raw_scan_done {
+            return 0;
+        }
+        // Each cached chunk comes up once, so the cells queued on the way
+        // cannot change what the rest of the batch wants.
+        let batch = self.unloaded_wanted(host);
+        let stored = |(chunk, cells)| self.store(host, chunk, cells, Trigger::Safeguard);
+        batch
+            .into_iter()
+            .map(stored)
+            .filter(|&stored| stored)
+            .count() as u64
+    }
+}
+
 /// The scheduler of one scan: the operator's parts it works with, borrowed
 /// for the scan's duration.
 pub(crate) struct Scheduler<'a> {
@@ -437,191 +643,89 @@ pub(crate) struct Scheduler<'a> {
     pub events_tx: Sender<Event>,
 }
 
-/// Cells already handed to WRITE during this scan (idempotence guard).
-type QueuedCells = std::collections::HashSet<(ChunkId, usize)>;
-
-/// Why the scheduler queues a store.
-#[derive(Clone, Copy, PartialEq)]
-enum Trigger {
-    /// The policy's own rule for a converted or evicted chunk.
-    Policy(WriteCause),
-    /// READ is blocked, so the disk is idle (§4).
-    Speculative,
-    /// The end-of-scan flush of what is still unloaded (§4).
-    Safeguard,
-}
-
 impl Scheduler<'_> {
-    /// Runs the per-scan scheduling policy over the event stream.
+    /// Runs the scan's [`LoadPolicy`] over the event stream: every store it
+    /// decides on goes to WRITE and into the journal.
     ///
     /// Returns when [`Event::QueryDone`] arrives (sent by the chunk stream
     /// once the engine consumed everything and the pipeline threads joined).
-    pub(crate) fn run(&self, events_rx: Receiver<Event>) -> SchedulerReport {
-        let mut report = SchedulerReport::default();
-        let mut queued = QueuedCells::new();
-        // Speculative loading writes one store command at a time (§4), and
-        // only while READ stays blocked (between its ReadBlocked and
-        // ReadResumed).
-        let mut write_in_flight = false;
-        let mut read_blocked = false;
-        // Converted chunks still to store as they arrive: eager loading is
-        // invisible loading without the quota.
-        let (mut quota, cause) = match self.policy {
-            WritePolicy::Eager => (u64::MAX, WriteCause::Eager),
-            WritePolicy::Invisible { chunks_per_query } => {
-                (chunks_per_query as u64, WriteCause::Invisible)
-            }
-            _ => (0, WriteCause::Invisible),
-        };
-        let mut raw_scan_done = false;
-
+    pub(crate) fn run(&mut self, events_rx: Receiver<Event>) -> SchedulerReport {
+        let mut policy = LoadPolicy::new(self.policy);
         while let Ok(ev) = events_rx.recv() {
-            let was_blocked = read_blocked;
-            match ev {
-                Event::Converted(chunk) if quota > 0 => {
-                    let present = chunk.present_columns();
-                    let loaded = self.db.loaded_columns(self.table, chunk.id, &present);
-                    let trigger = Trigger::Policy(cause);
-                    if !loaded.is_ok_and(|l| l == present)
-                        && self.store((chunk, present), trigger, &mut queued, &mut report)
-                    {
-                        quota -= 1;
-                    }
-                }
-                Event::Converted(_) => {}
-                Event::Evicted(ev) => {
-                    if self.policy == WritePolicy::Buffered && !ev.loaded {
-                        let trigger = Trigger::Policy(WriteCause::Eviction);
-                        self.store(
-                            (ev.chunk, ev.missing_cols),
-                            trigger,
-                            &mut queued,
-                            &mut report,
-                        );
-                    }
-                }
-                Event::ReadBlocked => read_blocked = true,
-                Event::ReadResumed => read_blocked = false,
-                Event::WriteDone(_) => write_in_flight = false,
-                // Flush the cache's unloaded wanted cells; this overlaps the
-                // remainder of query processing (§4).
-                Event::RawScanComplete => {
-                    raw_scan_done = true;
-                    self.safeguard(&mut queued, &mut report);
-                }
-                Event::QueryDone => {
-                    // Chunks that were still mid-pipeline when the raw scan
-                    // completed missed the first safeguard pass; flush them
-                    // now so every query is guaranteed to make loading
-                    // progress. The writes overlap the next query (the
-                    // barrier only delays its first device read).
-                    if raw_scan_done {
-                        self.safeguard(&mut queued, &mut report);
-                    }
-                    break;
-                }
+            let done = matches!(ev, Event::QueryDone);
+            let chunks = policy.on(ev, self);
+            if chunks > 0 {
+                self.obs.event(ObsEvent::SafeguardFlush { chunks });
             }
-            // The speculative rule (§4), level-triggered: while READ is
-            // blocked the disk is idle, so store one chunk at a time — the
-            // oldest cached chunk with missing *wanted* cells not yet handed
-            // to WRITE during this scan. The level must have held since
-            // before this event: a window a worker closes a few microseconds
-            // after it opened is not an idle disk, and a store is as much
-            // CPU as a conversion. So the rule fires on whatever arrives
-            // while READ stays blocked — a conversion, an eviction, and the
-            // completion of the previous store.
-            if was_blocked
-                && read_blocked
-                && !write_in_flight
-                && matches!(self.policy, WritePolicy::Speculative { .. })
-            {
-                let next = self.unloaded_wanted(&queued).next();
-                write_in_flight = next.is_some_and(|cells| {
-                    self.store(cells, Trigger::Speculative, &mut queued, &mut report)
-                });
+            if done {
+                break;
             }
         }
-        report
+        policy.report()
+    }
+}
+
+impl LoadHost for Scheduler<'_> {
+    type Chunk = Arc<BinaryChunk>;
+    type Victim = Evicted;
+
+    fn chunk_id(chunk: &Arc<BinaryChunk>) -> ChunkId {
+        chunk.id
     }
 
-    /// Queues the store of `cols` of a chunk with WRITE, for whichever
-    /// reason, and accounts for it: remembered in `queued`, counted in
-    /// `report` and journaled the way [`SchedulerReport::from_journal`]
-    /// reads it back. In degraded (external-table) mode nothing is queued
-    /// at all: a permanent device fault means every further attempt would
-    /// fail the same way.
-    fn store(
-        &self,
-        (chunk, cols): (Arc<BinaryChunk>, Vec<usize>),
-        trigger: Trigger,
-        queued: &mut QueuedCells,
-        report: &mut SchedulerReport,
-    ) -> bool {
-        let id = chunk.id;
+    fn victim(&self, victim: Evicted) -> (Arc<BinaryChunk>, Vec<usize>) {
+        (victim.chunk, victim.missing_cols)
+    }
+
+    fn unstored(&self, chunk: &Arc<BinaryChunk>) -> Vec<usize> {
+        let present = chunk.present_columns();
+        let loaded = self.db.loaded_columns(self.table, chunk.id, &present);
+        if loaded.is_ok_and(|l| l == present) {
+            Vec::new()
+        } else {
+            present
+        }
+    }
+
+    /// Wanted = hot columns of the observed query history; without
+    /// history, every missing cell.
+    fn unloaded_wanted(&self) -> Vec<(Arc<BinaryChunk>, Vec<usize>)> {
+        let hot = self.heat.hot_columns();
+        let unloaded = self.cache.unloaded_cells().into_iter();
+        unloaded
+            .filter_map(|(chunk, missing)| {
+                let want = wanted_cols(&missing, &hot);
+                (!want.is_empty()).then_some((chunk, want))
+            })
+            .collect()
+    }
+
+    /// Queues the store with WRITE and journals it the way
+    /// [`SchedulerReport::from_journal`] reads it back. In degraded
+    /// (external-table) mode nothing is queued at all: a permanent device
+    /// fault means every further attempt would fail the same way.
+    fn store(&mut self, chunk: Arc<BinaryChunk>, cells: &[usize], trigger: Trigger) -> bool {
+        let id = chunk.id.0 as u64;
         // A safeguard store outlives the scan; nobody waits for it.
         let notify = (trigger != Trigger::Safeguard).then(|| self.events_tx.clone());
         let accepted = !self.writer.degraded()
             && self
                 .writer
-                .store(chunk, cols.clone(), notify, self.scan_span);
-        if !accepted {
-            return false;
-        }
-        queued.extend(cols.into_iter().map(|c| (id, c)));
-        report.writes_queued += 1;
-        let chunk = id.0 as u64;
-        match trigger {
-            Trigger::Policy(cause) => {
-                self.obs.event(ObsEvent::WriteQueued { chunk, cause });
-                report.eviction_writes += u64::from(cause == WriteCause::Eviction);
+                .store(chunk, cells.to_vec(), notify, self.scan_span);
+        if accepted {
+            match trigger {
+                Trigger::Policy(cause) => {
+                    self.obs.event(ObsEvent::WriteQueued { chunk: id, cause });
+                }
+                Trigger::Speculative => {
+                    self.obs
+                        .event(ObsEvent::SpeculativeWriteTriggered { chunk: id });
+                }
+                // Journaled once per flush, by `run`.
+                Trigger::Safeguard => {}
             }
-            Trigger::Speculative => {
-                self.obs
-                    .event(ObsEvent::SpeculativeWriteTriggered { chunk });
-                report.speculative_writes += 1;
-            }
-            // Journaled once per flush, by the caller.
-            Trigger::Safeguard => report.safeguard_writes += 1,
         }
-        true
-    }
-
-    /// Every cached chunk with missing wanted cells not yet handed to WRITE
-    /// during this scan, oldest first, with those cells. Wanted = hot
-    /// columns of the observed query history; without history, every
-    /// missing cell.
-    fn unloaded_wanted<'q>(
-        &self,
-        queued: &'q QueuedCells,
-    ) -> impl Iterator<Item = (Arc<BinaryChunk>, Vec<usize>)> + 'q {
-        let hot = self.heat.hot_columns();
-        let unloaded = self.cache.unloaded_cells().into_iter();
-        unloaded.filter_map(move |(chunk, missing)| {
-            let mut want = wanted_cols(&missing, &hot);
-            want.retain(|&c| !queued.contains(&(chunk.id, c)));
-            (!want.is_empty()).then_some((chunk, want))
-        })
-    }
-
-    /// The end-of-scan safeguard (§4): queues a store for every cached chunk
-    /// with wanted cells still missing, oldest first, and journals how many
-    /// store commands that took.
-    fn safeguard(&self, queued: &mut QueuedCells, report: &mut SchedulerReport) {
-        if !matches!(self.policy, WritePolicy::Speculative { safeguard: true }) {
-            return;
-        }
-        // Each cached chunk comes up once, so the cells queued on the way
-        // cannot change what the rest of the batch wants.
-        let batch: Vec<_> = self.unloaded_wanted(queued).collect();
-        let stored = |cells| self.store(cells, Trigger::Safeguard, queued, report);
-        let chunks = batch
-            .into_iter()
-            .map(stored)
-            .filter(|&stored| stored)
-            .count() as u64;
-        if chunks > 0 {
-            self.obs.event(ObsEvent::SafeguardFlush { chunks });
-        }
+        accepted
     }
 }
 

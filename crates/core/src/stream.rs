@@ -12,7 +12,7 @@ use crate::operator::{ChunkSource, ScanQueue, ScanRaw};
 use crate::scheduler::{Event, SchedulerReport};
 use crossbeam::channel::{Receiver, Sender};
 use scanraw_obs::{ObsEvent, SpanCtx};
-use scanraw_types::{BinaryChunk, Error, Result, WritePolicy};
+use scanraw_types::{BinaryChunk, Error, Result};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -214,12 +214,7 @@ impl ChunkStream {
         let (op, obs) = (&state.op, state.op.obs());
         // Under the ETL-style policies loading is part of the query: block
         // on the write barrier before reporting completion.
-        if finished
-            && matches!(
-                op.config().write_policy,
-                WritePolicy::Eager | WritePolicy::Buffered | WritePolicy::Invisible { .. }
-            )
-        {
+        if finished && op.config().write_policy.loads_within_query() {
             op.drain_writes();
         }
         let elapsed = (op.database().disk().clock().now()).saturating_sub(state.started_at);

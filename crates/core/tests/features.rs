@@ -1,9 +1,7 @@
-//! Tests of the optional operator features: positional-map caching,
-//! resource advice, and profiler-driven introspection.
+//! Tests of the operator's resource advice, driven by its profiler.
 
-use scanraw::profile::Stage;
 use scanraw::{ResourceAdvice, ScanRaw, ScanRequest};
-use scanraw_rawfile::generate::{expected_column_sums, stage_csv, CsvSpec};
+use scanraw_rawfile::generate::{stage_csv, CsvSpec};
 use scanraw_rawfile::TextDialect;
 use scanraw_simio::{DiskConfig, SimDisk, VirtualClock};
 use scanraw_storage::Database;
@@ -11,10 +9,9 @@ use scanraw_types::{ScanRawConfig, Schema, WritePolicy};
 use std::sync::Arc;
 use std::time::Duration;
 
-fn operator(config: ScanRawConfig, disk: SimDisk) -> (Arc<ScanRaw>, CsvSpec) {
-    let spec = CsvSpec::new(2000, 4, 8);
-    stage_csv(&disk, "f.csv", &spec);
-    let op = ScanRaw::create(
+fn operator(config: ScanRawConfig, disk: SimDisk) -> Arc<ScanRaw> {
+    stage_csv(&disk, "f.csv", &CsvSpec::new(2000, 4, 8));
+    ScanRaw::create(
         Database::new(disk),
         "f",
         Schema::uniform_ints(4),
@@ -22,63 +19,12 @@ fn operator(config: ScanRawConfig, disk: SimDisk) -> (Arc<ScanRaw>, CsvSpec) {
         "f.csv",
         config,
     )
-    .unwrap();
-    (op, spec)
+    .unwrap()
 }
 
-fn full_scan(op: &Arc<ScanRaw>) -> Vec<i64> {
-    let mut stream = op.scan(ScanRequest::all_columns(vec![0, 1, 2, 3])).unwrap();
-    let mut sums = vec![0i64; 4];
-    while let Some(chunk) = stream.next_chunk() {
-        for (i, s) in sums.iter_mut().enumerate() {
-            if let scanraw_types::ColumnData::Int64(v) = chunk.column(i).unwrap() {
-                *s += v.iter().sum::<i64>();
-            }
-        }
-    }
+fn full_scan(op: &Arc<ScanRaw>) {
+    let stream = op.scan(ScanRequest::all_columns(vec![0, 1, 2, 3])).unwrap();
     stream.finish().unwrap();
-    sums
-}
-
-#[test]
-fn positional_map_cache_skips_repeat_tokenizing() {
-    // Tiny binary cache forces repeat scans back to the raw file; the map
-    // cache then removes TOKENIZE work entirely.
-    let cfg = ScanRawConfig::default()
-        .with_chunk_rows(250)
-        .with_workers(2)
-        .with_cache_chunks(1)
-        .with_policy(WritePolicy::ExternalTables)
-        .with_positional_map_cache(true);
-    let (op, spec) = operator(cfg, SimDisk::instant());
-    let expected = expected_column_sums(&spec);
-
-    assert_eq!(full_scan(&op), expected);
-    let tokenized_first = op.profiler().chunks(Stage::Tokenize);
-    assert_eq!(tokenized_first, 8, "first scan tokenizes every chunk");
-
-    assert_eq!(full_scan(&op), expected, "results stay correct from maps");
-    let tokenized_second = op.profiler().chunks(Stage::Tokenize);
-    assert_eq!(
-        tokenized_second, tokenized_first,
-        "second scan reuses cached positional maps (no new TOKENIZE work)"
-    );
-    // Parsing still happened for the re-read chunks.
-    assert!(op.profiler().chunks(Stage::Parse) > 8);
-}
-
-#[test]
-fn without_map_cache_repeat_scans_retokenize() {
-    let cfg = ScanRawConfig::default()
-        .with_chunk_rows(250)
-        .with_workers(2)
-        .with_cache_chunks(1)
-        .with_policy(WritePolicy::ExternalTables);
-    let (op, _) = operator(cfg, SimDisk::instant());
-    full_scan(&op);
-    let first = op.profiler().chunks(Stage::Tokenize);
-    full_scan(&op);
-    assert!(op.profiler().chunks(Stage::Tokenize) > first);
 }
 
 fn throttled(read_bw: u64) -> SimDisk {
@@ -102,7 +48,7 @@ fn resource_advice_detects_io_bound() {
         .with_chunk_rows(250)
         .with_workers(4)
         .with_policy(WritePolicy::ExternalTables);
-    let (op, _) = operator(cfg, throttled(256 * 1024)); // 256 KiB/s virtual
+    let op = operator(cfg, throttled(256 * 1024)); // 256 KiB/s virtual
     full_scan(&op);
     match op.resource_advice() {
         ResourceAdvice::IoBound { sufficient_workers } => {
@@ -115,7 +61,7 @@ fn resource_advice_detects_io_bound() {
 #[test]
 fn resource_advice_unknown_before_any_scan() {
     let cfg = ScanRawConfig::default().with_workers(2);
-    let (op, _) = operator(cfg, SimDisk::instant());
+    let op = operator(cfg, SimDisk::instant());
     assert_eq!(op.resource_advice(), ResourceAdvice::Unknown);
 }
 
@@ -128,7 +74,7 @@ fn resource_advice_detects_cpu_bound() {
         .with_chunk_rows(250)
         .with_workers(1)
         .with_policy(WritePolicy::ExternalTables);
-    let (op, _) = operator(cfg, throttled(10 * 1024 * 1024 * 1024));
+    let op = operator(cfg, throttled(10 * 1024 * 1024 * 1024));
     full_scan(&op);
     match op.resource_advice() {
         ResourceAdvice::CpuBound { suggested_workers } => {

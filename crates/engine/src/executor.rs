@@ -763,10 +763,8 @@ impl Engine {
         let parallel_ctr = op.obs().metrics.counter("scanraw.exec.parallel_chunks");
         let skipped_ctr = op.obs().metrics.counter("scanraw.exec.skipped_chunks");
         let entry = match range {
-            Some(_) if op.config().chunk_skipping => {
-                Some(op.database().catalog().table(op.table())?)
-            }
-            _ => None,
+            Some(_) => Some(op.database().catalog().table(op.table())?),
+            None => None,
         };
 
         let (res_tx, res_rx) = mpsc::channel::<(u32, Result<Vec<AggState>>)>();

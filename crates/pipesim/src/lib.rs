@@ -5,24 +5,32 @@
 //! The paper's parallelism experiments (Figures 4, 7, 8, 9) were run on a
 //! 16-core server with a RAID-0 array. This reproduction runs on whatever
 //! machine CI provides — possibly a single core — where wall-clock thread
-//! scaling is physically meaningless. The simulator executes the *same
-//! scheduling logic* as the real operator (bounded buffers, worker pool,
-//! read/write disk arbitration, the write policies of
-//! [`WritePolicy`]) in virtual time, charging per-stage costs from a
-//! [`cost::CostModel`] that is *calibrated by measuring the real tokenizer
-//! and parser* of this repository on generated data.
+//! scaling is physically meaningless. The simulator plays the pipeline in
+//! virtual time, charging per-stage costs from a [`cost::CostModel`] that
+//! is *calibrated by measuring the real tokenizer and parser* of this
+//! repository on generated data.
 //!
-//! What the simulator preserves (and what the figures depend on):
+//! What it shares with the real operator, rather than re-implementing:
+//!
+//! * [`LoadPolicy`] — what to store and when, for every [`WritePolicy`],
+//!   with the speculative rule and the safeguard flush; the simulator feeds
+//!   it the same events the operator's scheduler thread does;
+//! * [`LoadBiasedLru`] — the cache's eviction order (load-biased LRU).
+//!
+//! What it models (and what the figures depend on):
 //!
 //! * the ratio of per-chunk conversion cost to disk bandwidth — this sets
 //!   the CPU-bound ↔ I/O-bound crossover of Figure 4;
-//! * buffer capacities and the blocked-READ rule — this sets when
-//!   speculative loading gets disk time;
-//! * the cache (load-biased LRU) and the safeguard flush — this sets the
-//!   per-query convergence of Figure 8;
+//! * buffer capacities and the worker pool — this sets when READ is
+//!   blocked, so when speculative loading gets disk time;
+//! * the device: READ has priority over WRITE, a direction switch costs a
+//!   seek, and the WRITE queue outlives a query — this sets the per-query
+//!   convergence of Figure 8;
 //! * per-task dispatch overhead and pipeline fill/drain — Figure 7.
 //!
 //! [`WritePolicy`]: scanraw_types::WritePolicy
+//! [`LoadPolicy`]: scanraw::LoadPolicy
+//! [`LoadBiasedLru`]: scanraw::LoadBiasedLru
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

@@ -5,13 +5,18 @@
 //! writes still pending from a previous query (the speculative tail), across
 //! a sequence of simulated queries. [`Simulator::run_query`] plays the
 //! per-scan pipeline — cache deliveries, database reads, the raw-file
-//! conversion pipeline with bounded buffers and a worker pool, and the WRITE
-//! policy — in virtual time.
+//! conversion pipeline with bounded buffers and a worker pool, and the
+//! device READ and WRITE share — in virtual time.
+//!
+//! What to store and when is not simulated: the scan's [`LoadPolicy`], the
+//! operator's own, is told what the pipeline does and decides, and the
+//! cache keeps the operator's eviction order, [`LoadBiasedLru`].
 
 use crate::cost::CostModel;
-use scanraw_types::WritePolicy;
+use scanraw::{LoadBiasedLru, LoadEvent, LoadHost, LoadPolicy, SchedulerReport, Trigger};
+use scanraw_types::{ChunkId, WritePolicy};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Shape of the simulated raw file.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -141,6 +146,9 @@ pub struct QuerySim {
     /// Chunks loaded in the database after the query (and its carried
     /// writes were queued — pending ones not yet counted).
     pub loaded_after: usize,
+    /// Stores the load policy queued during the query, by trigger — what
+    /// the operator reports in its `ScanSummary`.
+    pub stores: SchedulerReport,
     /// Disk busy spans split by direction (empty unless `record_timeline`).
     pub disk_read_spans: Vec<Span>,
     pub disk_write_spans: Vec<Span>,
@@ -175,108 +183,6 @@ impl QuerySim {
 }
 
 // ---------------------------------------------------------------------------
-// Cache mirror (id-level twin of scanraw::ChunkCache)
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Default)]
-struct SimCache {
-    cap: usize,
-    /// Prefer evicting already-loaded entries (load-biased LRU).
-    bias: bool,
-    entries: HashMap<usize, CacheEntry>,
-    next_stamp: u64,
-    next_seq: u64,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct CacheEntry {
-    loaded: bool,
-    stamp: u64,
-    seq: u64,
-}
-
-impl SimCache {
-    fn new(cap: usize, bias: bool) -> Self {
-        SimCache {
-            cap: cap.max(1),
-            bias,
-            ..Default::default()
-        }
-    }
-
-    fn contains(&self, id: usize) -> bool {
-        self.entries.contains_key(&id)
-    }
-
-    fn touch(&mut self, id: usize) {
-        self.next_stamp += 1;
-        let stamp = self.next_stamp;
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.stamp = stamp;
-        }
-    }
-
-    /// Insert; returns evicted (id, loaded) if the cache was full.
-    fn insert(&mut self, id: usize, loaded: bool) -> Option<(usize, bool)> {
-        self.next_stamp += 1;
-        self.next_seq += 1;
-        let (stamp, seq) = (self.next_stamp, self.next_seq);
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.stamp = stamp;
-            e.loaded = loaded;
-            return None;
-        }
-        let mut evicted = None;
-        if self.entries.len() >= self.cap {
-            // Load-biased LRU: prefer evicting loaded entries (plain LRU
-            // when the bias is disabled for the ablation study).
-            let biased = if self.bias {
-                self.entries
-                    .iter()
-                    .filter(|(_, e)| e.loaded)
-                    .min_by_key(|(_, e)| e.stamp)
-            } else {
-                None
-            };
-            let victim = biased
-                .or_else(|| self.entries.iter().min_by_key(|(_, e)| e.stamp))
-                .map(|(id, e)| (*id, e.loaded));
-            if let Some((vid, vloaded)) = victim {
-                self.entries.remove(&vid);
-                evicted = Some((vid, vloaded));
-            }
-        }
-        self.entries.insert(id, CacheEntry { loaded, stamp, seq });
-        evicted
-    }
-
-    fn mark_loaded(&mut self, id: usize) {
-        if let Some(e) = self.entries.get_mut(&id) {
-            e.loaded = true;
-        }
-    }
-
-    fn oldest_unloaded(&self, exclude: &HashSet<usize>) -> Option<usize> {
-        self.entries
-            .iter()
-            .filter(|(id, e)| !e.loaded && !exclude.contains(id))
-            .min_by_key(|(_, e)| e.seq)
-            .map(|(id, _)| *id)
-    }
-
-    fn unloaded(&self, exclude: &HashSet<usize>) -> Vec<usize> {
-        let mut v: Vec<(u64, usize)> = self
-            .entries
-            .iter()
-            .filter(|(id, e)| !e.loaded && !exclude.contains(id))
-            .map(|(id, e)| (e.seq, *id))
-            .collect();
-        v.sort_unstable();
-        v.into_iter().map(|(_, id)| id).collect()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The simulator
 // ---------------------------------------------------------------------------
 
@@ -285,13 +191,16 @@ pub struct Simulator {
     pub cfg: SimConfig,
     pub file: FileSpec,
     loaded: Vec<bool>,
-    cache: SimCache,
-    /// Speculative writes carried from the previous query (drained before
-    /// the next query's first device read).
-    carried_writes: VecDeque<usize>,
+    /// Cached chunk indices in the operator's eviction order; whether a
+    /// cached chunk is loaded is `loaded`'s to say.
+    cache: LoadBiasedLru<usize, ()>,
+    /// The device's write queue, the chunk being written at its front.
+    /// Like the operator's WRITE thread it outlives a query: what is left
+    /// when one ends is drained before the next one's first device read.
+    write_q: VecDeque<usize>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Source {
     Cache(usize),
     Db(usize),
@@ -315,26 +224,26 @@ enum Ev {
 
 impl Simulator {
     pub fn new(cfg: SimConfig, file: FileSpec) -> Self {
-        let cache = SimCache::new(cfg.cache_chunks, cfg.cache_bias);
+        let cache = LoadBiasedLru::new(cfg.cache_chunks.max(1));
         Simulator {
             cfg,
             file,
             loaded: vec![false; file.n_chunks],
             cache,
-            carried_writes: VecDeque::new(),
+            write_q: VecDeque::new(),
         }
     }
 
     /// Empties the binary-chunk cache (models a stateless external-table
     /// operator that does not persist state across queries).
     pub fn clear_cache(&mut self) {
-        self.cache = SimCache::new(self.cfg.cache_chunks, self.cfg.cache_bias);
+        self.cache = LoadBiasedLru::new(self.cfg.cache_chunks.max(1));
     }
 
     /// Writes queued but not yet completed (the speculative tail carried to
     /// the next query).
     pub fn pending_loads(&self) -> usize {
-        self.carried_writes.len()
+        self.write_q.len()
     }
 
     /// Chunks currently loaded in the database.
@@ -347,31 +256,30 @@ impl Simulator {
         self.loaded.iter().all(|&b| b)
     }
 
+    /// Admits chunk `id` to the cache; returns the evicted chunk. Without
+    /// `cache_bias` (the ablation) the order is plain LRU.
+    fn cache_admit(&mut self, id: usize) -> Option<usize> {
+        let (bias, loaded) = (self.cfg.cache_bias, &self.loaded);
+        let victim = self.cache.admit(id, (), |&c, ()| bias && loaded[c]);
+        victim.map(|(victim, ())| victim)
+    }
+
     /// Runs one query over the whole file (the paper's workload touches
     /// every chunk; selection-driven skipping is orthogonal here).
     pub fn run_query(&mut self, q: &QuerySpec) -> QuerySim {
         assert!(q.convert_cols >= 1 && q.convert_cols <= self.file.cols);
         assert!(q.tokenize_cols >= 1 && q.tokenize_cols <= self.file.cols);
 
-        // Build the delivery plan: cache → db → raw (§3.2.1).
-        let mut plan: Vec<Source> = Vec::with_capacity(self.file.n_chunks);
-        for id in 0..self.file.n_chunks {
-            if self.cache.contains(id) {
-                plan.push(Source::Cache(id));
-            }
-        }
-        for id in 0..self.file.n_chunks {
-            if !self.cache.contains(id) && self.loaded[id] {
-                plan.push(Source::Db(id));
-            }
-        }
-        for id in 0..self.file.n_chunks {
-            if !self.cache.contains(id) && !self.loaded[id] {
-                plan.push(Source::Raw(id));
-            }
-        }
+        // Build the delivery plan: cache → db → raw (§3.2.1), file order
+        // within a source.
+        let source = |id| match (self.cache.get(&id), self.loaded[id]) {
+            (Some(()), _) => Source::Cache(id),
+            (None, true) => Source::Db(id),
+            (None, false) => Source::Raw(id),
+        };
+        let mut plan: Vec<Source> = (0..self.file.n_chunks).map(source).collect();
+        plan.sort_unstable();
         let expected = plan.len();
-        let raw_total = plan.iter().filter(|s| matches!(s, Source::Raw(_))).count();
 
         // Per-chunk costs in nanoseconds.
         let cost = &self.cfg.cost;
@@ -394,10 +302,9 @@ impl Simulator {
             self.cfg.workers.min(self.cfg.cores).max(1)
         };
         let serialize_read = self.cfg.workers == 0;
-        let wait_for_writes = matches!(
-            self.cfg.policy,
-            WritePolicy::Eager | WritePolicy::Buffered | WritePolicy::Invisible { .. }
-        );
+        let out_cap = self.cfg.cache_chunks.max(2);
+        let waits_for_writes = self.cfg.policy.loads_within_query();
+        let mut policy = LoadPolicy::new(self.cfg.policy);
 
         // --- event machinery ---
         let mut now: u64 = 0;
@@ -417,19 +324,12 @@ impl Simulator {
         let mut disk: Option<DiskOp> = None;
         let mut disk_dir: Option<bool> = None; // true = read
         let mut disk_started: u64 = 0;
-        let mut write_q: VecDeque<usize> = VecDeque::new();
-        let mut pending_write: HashSet<usize> = HashSet::new();
-        let mut startup_drain = self.carried_writes.len();
-        for id in self.carried_writes.drain(..) {
-            pending_write.insert(id);
-            write_q.push_back(id);
-        }
-        let mut raw_read_done = 0usize;
-        let mut safeguard_fired = false;
-        let mut invisible_quota = match self.cfg.policy {
-            WritePolicy::Invisible { chunks_per_query } => chunks_per_query as usize,
-            _ => 0,
-        };
+        // Writes carried from the previous query go first (§4).
+        let mut startup_drain = self.write_q.len();
+        // What the policy was last told of READ.
+        let mut read_blocked = false;
+        let mut raw_scan_complete = false;
+        let mut query_done = false;
         let mut from_cache = 0usize;
         let mut from_db = 0usize;
         let mut from_raw = 0usize;
@@ -455,31 +355,11 @@ impl Simulator {
                 while progressed {
                     progressed = false;
 
-                    // Safeguard flush: once the raw scan finished and the
-                    // conversion pipeline drained, everything still cached
-                    // and unloaded is queued for storing (§4). Independent
-                    // of the device state — writes overlap the engine tail.
-                    if let WritePolicy::Speculative { safeguard: true } = self.cfg.policy {
-                        if !safeguard_fired
-                            && raw_read_done == raw_total
-                            && text_q.is_empty()
-                            && pos_q.is_empty()
-                            && tokenizing == 0
-                            && parsing == 0
-                        {
-                            safeguard_fired = true;
-                            for id in self.cache.unloaded(&pending_write) {
-                                pending_write.insert(id);
-                                write_q.push_back(id);
-                            }
-                        }
-                    }
-
                     // 0. Cache deliveries (no device involved).
                     while deliver_idx < plan.len() {
                         if let Source::Cache(id) = plan[deliver_idx] {
-                            if out_q.len() + parsing < self.cfg.cache_chunks.max(2) {
-                                self.cache.touch(id);
+                            if out_q.len() + parsing < out_cap {
+                                self.cache.touch(&id);
                                 out_q.push_back(id);
                                 from_cache += 1;
                                 deliver_idx += 1;
@@ -493,7 +373,7 @@ impl Simulator {
                     // 1. PARSE first (downstream priority).
                     while busy_workers < slots
                         && !pos_q.is_empty()
-                        && out_q.len() + parsing < self.cfg.cache_chunks.max(2)
+                        && out_q.len() + parsing < out_cap
                     {
                         let id = pos_q.pop_front().expect("checked");
                         busy_workers += 1;
@@ -535,104 +415,65 @@ impl Simulator {
                         }
                     }
 
-                    // 4. Device.
-                    if disk.is_none() {
-                        // 4a. Determine whether READ can and wants to go.
-                        let mut read_blocked = false;
-                        let mut started_read = false;
-                        let write_preempts = !self.cfg.arbitration && !write_q.is_empty();
-                        if !write_preempts && startup_drain == 0 && deliver_idx < plan.len() {
-                            match plan[deliver_idx] {
-                                Source::Cache(_) => {} // handled in step 0
-                                Source::Db(_) => {
-                                    if out_q.len() + parsing < self.cfg.cache_chunks.max(2) {
-                                        let Source::Db(id) = plan[deliver_idx] else {
-                                            unreachable!()
-                                        };
-                                        let mut dur = db_read_ns;
-                                        if disk_dir == Some(false) {
-                                            dur += seek_ns;
-                                        }
-                                        disk = Some(DiskOp::ReadDb(id));
-                                        disk_dir = Some(true);
-                                        disk_started = now;
-                                        deliver_idx += 1;
-                                        push_ev!(now + dur as u64, Ev::Disk);
-                                        started_read = true;
-                                    } else {
-                                        read_blocked = true;
-                                    }
-                                }
-                                Source::Raw(_) => {
-                                    let room = text_q.len() < self.cfg.text_buffer;
-                                    let serial_ok = !serialize_read
-                                        || (text_q.is_empty()
-                                            && pos_q.is_empty()
-                                            && busy_workers == 0);
-                                    if room && serial_ok {
-                                        let Source::Raw(id) = plan[deliver_idx] else {
-                                            unreachable!()
-                                        };
-                                        let mut dur = raw_read_ns;
-                                        if disk_dir == Some(false) {
-                                            dur += seek_ns;
-                                        }
-                                        disk = Some(DiskOp::ReadRaw(id));
-                                        disk_dir = Some(true);
-                                        disk_started = now;
-                                        deliver_idx += 1;
-                                        push_ev!(now + dur as u64, Ev::Disk);
-                                        started_read = true;
-                                    } else {
-                                        read_blocked = true;
-                                    }
-                                }
-                            }
-                        }
-                        if started_read {
-                            progressed = true;
+                    // READ as the operator's READ thread reports it: blocked
+                    // while the next raw chunk finds the text lane full
+                    // (never in the sequential regime, where READ converts
+                    // each chunk itself), complete once the last planned
+                    // chunk is delivered.
+                    let blocked = !serialize_read
+                        && matches!(plan.get(deliver_idx), Some(Source::Raw(_)))
+                        && text_q.len() >= self.cfg.text_buffer;
+                    if blocked != read_blocked {
+                        read_blocked = blocked;
+                        let level = if blocked {
+                            LoadEvent::ReadBlocked
                         } else {
-                            // 4b. Speculative trigger: READ is blocked (or
-                            // there is nothing left to read) and the disk is
-                            // idle.
-                            let _raw_done = raw_read_done == raw_total;
-                            if matches!(self.cfg.policy, WritePolicy::Speculative { .. })
-                                && (read_blocked || deliver_idx >= plan.len())
-                                && write_q.is_empty()
+                            LoadEvent::ReadResumed
+                        };
+                        policy.on(level, self);
+                    }
+                    let reading = matches!(disk, Some(DiskOp::ReadRaw(_) | DiskOp::ReadDb(_)));
+                    if !raw_scan_complete && deliver_idx == plan.len() && !reading {
+                        raw_scan_complete = true;
+                        policy.on(LoadEvent::RawScanComplete, self);
+                    }
+
+                    // 4. Device: READ has priority (after the startup drain
+                    // of the previous query's writes); WRITE gets the device
+                    // whenever READ does not take it.
+                    if disk.is_none() {
+                        let write_preempts = !self.cfg.arbitration && !self.write_q.is_empty();
+                        let serial_ok = !serialize_read
+                            || (text_q.is_empty() && pos_q.is_empty() && busy_workers == 0);
+                        let read = match plan.get(deliver_idx) {
+                            _ if write_preempts || startup_drain > 0 => None,
+                            Some(&Source::Db(id)) if out_q.len() + parsing < out_cap => {
+                                Some((DiskOp::ReadDb(id), db_read_ns))
+                            }
+                            Some(&Source::Raw(id))
+                                if text_q.len() < self.cfg.text_buffer && serial_ok =>
                             {
-                                if let Some(id) = self.cache.oldest_unloaded(&pending_write) {
-                                    // One chunk at a time (§4).
-                                    pending_write.insert(id);
-                                    write_q.push_back(id);
-                                }
+                                Some((DiskOp::ReadRaw(id), raw_read_ns))
                             }
-                            // 4c. WRITE gets the device: always during the
-                            // startup drain, otherwise only when READ is not
-                            // able to use it.
-                            if !write_q.is_empty() {
-                                let write_allowed = if startup_drain > 0 {
-                                    true
-                                } else {
-                                    match self.cfg.policy {
-                                        WritePolicy::Speculative { .. } => {
-                                            read_blocked || raw_read_done == raw_total
-                                        }
-                                        _ => true, // read had priority above
-                                    }
-                                };
-                                if write_allowed {
-                                    let id = write_q.pop_front().expect("checked");
-                                    let mut dur = write_ns;
-                                    if disk_dir == Some(true) {
-                                        dur += seek_ns;
-                                    }
-                                    disk = Some(DiskOp::Write(id));
-                                    disk_dir = Some(false);
-                                    disk_started = now;
-                                    push_ev!(now + dur as u64, Ev::Disk);
-                                    progressed = true;
-                                }
+                            _ => None,
+                        };
+                        if read.is_some() {
+                            deliver_idx += 1;
+                        }
+                        let write = || {
+                            let front = self.write_q.front();
+                            front.map(|&id| (DiskOp::Write(id), write_ns))
+                        };
+                        if let Some((op, mut dur)) = read.or_else(write) {
+                            let is_read = !matches!(op, DiskOp::Write(_));
+                            if disk_dir == Some(!is_read) {
+                                dur += seek_ns;
                             }
+                            disk = Some(op);
+                            disk_dir = Some(is_read);
+                            disk_started = now;
+                            push_ev!(now + dur as u64, Ev::Disk);
+                            progressed = true;
                         }
                     }
                 }
@@ -661,19 +502,22 @@ impl Simulator {
                         DiskOp::ReadRaw(id) => {
                             text_q.push_back(id);
                             from_raw += 1;
-                            raw_read_done += 1;
                         }
                         DiskOp::ReadDb(id) => {
                             out_q.push_back(id);
                             from_db += 1;
-                            self.cache.insert(id, true);
+                            // Database chunks enter the cache loaded; their
+                            // victims are evictions like any other.
+                            if let Some(victim) = self.cache_admit(id) {
+                                policy.on(LoadEvent::Evicted(victim), self);
+                            }
                         }
                         DiskOp::Write(id) => {
+                            self.write_q.pop_front();
                             self.loaded[id] = true;
-                            self.cache.mark_loaded(id);
-                            pending_write.remove(&id);
                             chunks_written += 1;
                             startup_drain = startup_drain.saturating_sub(1);
+                            policy.on(LoadEvent::WriteDone(ChunkId(id as u32)), self);
                         }
                     }
                 }
@@ -686,30 +530,10 @@ impl Simulator {
                     busy_workers -= 1;
                     parsing -= 1;
                     out_q.push_back(id);
-                    // Cache insert + policy hooks.
-                    let evicted = self.cache.insert(id, self.loaded[id]);
-                    match self.cfg.policy {
-                        WritePolicy::Eager => {
-                            if !self.loaded[id] && pending_write.insert(id) {
-                                write_q.push_back(id);
-                            }
-                        }
-                        WritePolicy::Invisible { .. } if invisible_quota > 0 => {
-                            if !self.loaded[id] && pending_write.insert(id) {
-                                invisible_quota -= 1;
-                                write_q.push_back(id);
-                            }
-                        }
-                        WritePolicy::Buffered => {
-                            if let Some((vid, vloaded)) = evicted {
-                                if !vloaded && pending_write.insert(vid) {
-                                    write_q.push_back(vid);
-                                }
-                            }
-                        }
-                        _ => {
-                            let _ = evicted;
-                        }
+                    let victim = self.cache_admit(id);
+                    policy.on(LoadEvent::Converted(id), self);
+                    if let Some(victim) = victim {
+                        policy.on(LoadEvent::Evicted(victim), self);
                     }
                 }
                 Ev::Consumed(_) => {
@@ -720,10 +544,12 @@ impl Simulator {
 
             dispatch!();
 
-            // Completion check.
-            let engine_finished = engine_done == expected;
-            let writes_finished = write_q.is_empty() && !matches!(disk, Some(DiskOp::Write(_)));
-            if engine_finished && (!wait_for_writes || writes_finished) {
+            // The engine consumed the whole scan: the operator's QueryDone.
+            if engine_done == expected && !query_done {
+                query_done = true;
+                policy.on(LoadEvent::QueryDone, self);
+            }
+            if query_done && (!waits_for_writes || self.write_q.is_empty()) {
                 end_time = now;
                 break;
             }
@@ -733,25 +559,6 @@ impl Simulator {
         }
         debug_assert_eq!(engine_done, expected, "every planned chunk delivered");
 
-        // Carry unfinished speculative writes to the next query.
-        if let Some(DiskOp::Write(id)) = disk {
-            // Treat the in-flight write as still pending.
-            write_q.push_front(id);
-        }
-        // The query can end (engine done) while a write still holds the
-        // device, before the safeguard had a chance to fire; flush the
-        // remaining unloaded cached chunks into the carried set so every
-        // query is guaranteed to make loading progress (§4).
-        if let WritePolicy::Speculative { safeguard: true } = self.cfg.policy {
-            if !safeguard_fired {
-                for id in self.cache.unloaded(&pending_write) {
-                    pending_write.insert(id);
-                    write_q.push_back(id);
-                }
-            }
-        }
-        self.carried_writes = write_q.iter().copied().collect();
-
         QuerySim {
             elapsed_secs: end_time as f64 * 1e-9,
             from_cache,
@@ -759,6 +566,7 @@ impl Simulator {
             from_raw,
             chunks_written,
             loaded_after: self.loaded_count(),
+            stores: policy.report(),
             disk_read_spans,
             disk_write_spans,
             cpu_spans,
@@ -769,6 +577,46 @@ impl Simulator {
     pub fn run_sequence(&mut self, n: usize) -> Vec<QuerySim> {
         let q = QuerySpec::full(&self.file);
         (0..n).map(|_| self.run_query(&q)).collect()
+    }
+}
+
+/// The simulator's side of the operator's [`LoadPolicy`]. It loads whole
+/// chunks, so a chunk is one cell (column 0).
+impl LoadHost for Simulator {
+    type Chunk = usize;
+    type Victim = usize;
+
+    fn chunk_id(&id: &usize) -> ChunkId {
+        ChunkId(id as u32)
+    }
+
+    fn victim(&self, id: usize) -> (usize, Vec<usize>) {
+        (id, self.unstored(&id))
+    }
+
+    fn unstored(&self, &id: &usize) -> Vec<usize> {
+        if self.loaded[id] {
+            Vec::new()
+        } else {
+            vec![0]
+        }
+    }
+
+    fn unloaded_wanted(&self) -> Vec<(usize, Vec<usize>)> {
+        let oldest_first = self.cache.oldest_first().into_iter();
+        oldest_first
+            .map(|(&id, ())| (id, self.unstored(&id)))
+            .filter(|(_, cells)| !cells.is_empty())
+            .collect()
+    }
+
+    /// WRITE always takes a store; a chunk already queued is not written
+    /// twice, as the operator's store skips committed cells.
+    fn store(&mut self, id: usize, _cells: &[usize], _trigger: Trigger) -> bool {
+        if !self.write_q.contains(&id) {
+            self.write_q.push_back(id);
+        }
+        true
     }
 }
 
@@ -865,10 +713,10 @@ mod tests {
         );
         let r = sim.run_query(&QuerySpec::full(&f));
         assert!(
-            r.chunks_written + sim.carried_writes.len() >= f.n_chunks / 2,
+            r.chunks_written + sim.pending_loads() >= f.n_chunks / 2,
             "cpu-bound speculative should load much of the file: {} written, {} carried",
             r.chunks_written,
-            sim.carried_writes.len()
+            sim.pending_loads()
         );
         // And it must not be slower than external tables.
         let mut ext = Simulator::new(SimConfig::new(1, WritePolicy::ExternalTables, cost), f);
@@ -914,7 +762,7 @@ mod tests {
     }
 
     #[test]
-    fn invisible_quota_respected() {
+    fn invisible_loads_its_quota_per_query() {
         let f = file();
         let mut sim = Simulator::new(
             cfg(

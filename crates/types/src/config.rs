@@ -41,6 +41,15 @@ impl WritePolicy {
         !matches!(self, WritePolicy::ExternalTables)
     }
 
+    /// True if loading is part of the query (the ETL-style policies): a
+    /// query completes only once the stores it queued are durable.
+    pub fn loads_within_query(self) -> bool {
+        matches!(
+            self,
+            WritePolicy::Eager | WritePolicy::Buffered | WritePolicy::Invisible { .. }
+        )
+    }
+
     /// Short label used by experiment harness output.
     pub fn label(self) -> &'static str {
         match self {
@@ -73,18 +82,10 @@ pub struct ScanRawConfig {
     pub binary_cache_chunks: usize,
     /// WRITE scheduling policy.
     pub write_policy: WritePolicy,
-    /// Collect per-chunk min/max statistics during conversion (paper §3.3).
-    pub collect_statistics: bool,
     /// Additionally collect distinct-count sketches and value samples per
     /// chunk/column for cardinality estimation (paper §3.3, "more advanced
     /// statistics"). Implies a small per-chunk CPU cost during conversion.
     pub advanced_statistics: bool,
-    /// Skip chunks whose min/max metadata cannot satisfy the predicate.
-    pub chunk_skipping: bool,
-    /// Cache positional maps produced by TOKENIZE across scans (the NoDB
-    /// optimization discussed in paper §2/§3.1 — the paper leaves it off
-    /// because raw reading and parsing dominate; supported here for study).
-    pub cache_positional_maps: bool,
     /// For chunks with only *some* required columns loaded, read the loaded
     /// columns from the database and convert just the missing ones from the
     /// raw file, merging the two (paper §3.2.1's trade-off; the paper's
@@ -107,10 +108,7 @@ impl Default for ScanRawConfig {
             position_buffer_chunks: 8,
             binary_cache_chunks: 32,
             write_policy: WritePolicy::speculative(),
-            collect_statistics: true,
             advanced_statistics: false,
-            chunk_skipping: true,
-            cache_positional_maps: false,
             hybrid_reads: false,
             io_retry_budget: 4,
             io_retry_backoff: Duration::from_micros(200),
@@ -174,12 +172,6 @@ impl ScanRawConfig {
     /// Builder-style switch for advanced statistics collection.
     pub fn with_advanced_statistics(mut self, on: bool) -> Self {
         self.advanced_statistics = on;
-        self
-    }
-
-    /// Builder-style switch for the positional-map cache.
-    pub fn with_positional_map_cache(mut self, on: bool) -> Self {
-        self.cache_positional_maps = on;
         self
     }
 

@@ -22,16 +22,21 @@
 //!   (paper §3.3). A scan is planned as one list of chunks in §3.2.1 delivery
 //!   order and READ is one loop over it: each chunk is fetched from its
 //!   planned source (cache, database, hybrid, raw) or, when that source no
-//!   longer has it, from the next one down.
+//!   longer has it, from the next one down. [`ChunkSource::classify`] is the
+//!   one classifier behind the plan, EXPLAIN and the simulator's plan.
 //! * [`scheduler`] — [`LoadPolicy`], the one implementation of the WRITE
 //!   policies of [`WritePolicy`] (external tables, eager ETL, buffered,
 //!   invisible, and the paper's speculative loading with its end-of-scan
 //!   safeguard, §4), and the scheduler thread that runs it over the scan's
 //!   control messages. The pipeline simulator runs the same type.
-//! * `queue` (crate-private) — the per-scan work queue: the text-chunks
-//!   buffer, the position buffer and the engine's EXEC lane behind one lock.
-//!   READ blocks on it, workers block on it, and closing it is how a scan
-//!   shuts down; there is no timer and no stop flag in the pipeline.
+//! * [`Lanes`] — the per-scan work queue as a thread-free state machine: the
+//!   text-chunks buffer, the position buffer and the engine's EXEC lane, the
+//!   dispatch order (EXEC, then PARSE, then TOKENIZE), both lane bounds, the
+//!   hand-back of a tokenized chunk the position buffer refuses, and READ
+//!   blocked as a `Full` text push. The operator runs it behind one lock
+//!   (the crate-private `WorkQueue`: READ blocks on it, workers block on it,
+//!   and closing it is how a scan shuts down; there is no timer and no stop
+//!   flag in the pipeline); the pipeline simulator drives the same type.
 //! * [`stream`] — the engine-facing end: the chunk iterator, the EXEC
 //!   handle, and the one teardown behind `finish` and `Drop`, which closes
 //!   the queue and joins the threads.
@@ -74,6 +79,7 @@ pub use operator::{
     ChunkSource, ConvertScope, PushdownFilter, ResourceAdvice, ScanRaw, ScanRequest, ScanSummary,
 };
 pub use profile::{Profiler, Stage};
+pub use queue::{Lanes, TextPushError, Work};
 pub use registry::OperatorRegistry;
 pub use scanraw_types::{ScanRawConfig, WritePolicy};
 pub use scheduler::{ColumnHeat, LoadEvent, LoadHost, LoadPolicy, SchedulerReport, Trigger};

@@ -232,8 +232,6 @@ pub struct ScanRaw {
     cache: ChunkCache,
     profiler: Profiler,
     obs: Obs,
-    /// READ's device-retry budget and backoff (WRITE has its own copy).
-    retry: RetryPolicy,
     writer: Arc<Writer>,
     /// Per-column query-history heat: every scan registers its effective
     /// projection here, and the speculative scheduler prioritizes hot cells.
@@ -307,17 +305,13 @@ impl ScanRaw {
         // Device ops record disk.read/disk.write spans under whatever span
         // is ambient on the calling thread.
         db.disk().attach_trace(&obs.trace);
-        let retry = RetryPolicy {
-            budget: config.io_retry_budget,
-            backoff: config.io_retry_backoff,
-        };
         let writer = Arc::new(Writer::spawn(
             db.clone(),
             table.clone(),
             cache.clone(),
             profiler.clone(),
             obs.clone(),
-            retry.clone(),
+            RetryPolicy::DEVICE,
         )?);
         let workers = AtomicUsize::new(config.workers);
         Ok(Arc::new(ScanRaw {
@@ -330,7 +324,6 @@ impl ScanRaw {
             cache,
             profiler,
             obs,
-            retry,
             writer,
             heat: Arc::new(ColumnHeat::new()),
             workers,
@@ -427,10 +420,11 @@ impl ScanRaw {
         self.writer.degraded()
     }
 
-    /// Retries a device operation under the configured budget and backoff
-    /// (see [`ScanRawConfig::io_retry_budget`]).
+    /// Retries a device operation under the pipeline's retry budget and
+    /// backoff.
     fn io_retry<T>(&self, target: &str, op: impl FnMut() -> Result<T>) -> Result<T> {
-        with_retry(&self.retry, self.db.disk().clock(), &self.obs, target, op)
+        let clock = self.db.disk().clock();
+        with_retry(&RetryPolicy::DEVICE, clock, &self.obs, target, op)
     }
 
     /// True when the chunk layout of the raw file is known (first full scan
@@ -634,18 +628,15 @@ impl ScanRaw {
     // ----------------------------------------------------------------------
 
     /// Where a scan needing columns `needed` fetches chunk `id` from, given
-    /// the current cache and catalog state: the cache → db → hybrid → raw
-    /// cascade. The one classifier behind both the scan plan and EXPLAIN.
+    /// the current cache and catalog state: [`ChunkSource::classify`]'s
+    /// cache → db → hybrid → raw cascade, for the scan plan and EXPLAIN.
     pub fn chunk_source(&self, entry: &TableEntry, id: ChunkId, needed: &[usize]) -> ChunkSource {
-        if self.cache.covers(id, needed) {
-            ChunkSource::Cache
-        } else if entry.is_loaded(id, needed) {
-            ChunkSource::Db
-        } else if self.config.hybrid_reads && !entry.loaded_columns(id, needed).is_empty() {
-            ChunkSource::Hybrid
-        } else {
-            ChunkSource::Raw
-        }
+        ChunkSource::classify(
+            self.cache.covers(id, needed),
+            entry.is_loaded(id, needed),
+            !entry.loaded_columns(id, needed).is_empty(),
+            self.config.hybrid_reads,
+        )
     }
 
     fn plan_scan(&self, needed: &[usize], skip: Option<&RangePredicate>) -> Result<ScanPlan> {
@@ -1128,6 +1119,22 @@ pub enum ChunkSource {
 }
 
 impl ChunkSource {
+    /// The §3.2.1 cascade for one chunk, given whether the cache holds every
+    /// needed column, whether the database holds all of them or some, and
+    /// whether hybrid reads are on. The operator's plan, EXPLAIN and the
+    /// pipeline simulator's plan all classify through it.
+    pub fn classify(cached: bool, loaded: bool, partly_loaded: bool, hybrid: bool) -> ChunkSource {
+        if cached {
+            ChunkSource::Cache
+        } else if loaded {
+            ChunkSource::Db
+        } else if hybrid && partly_loaded {
+            ChunkSource::Hybrid
+        } else {
+            ChunkSource::Raw
+        }
+    }
+
     /// The `source` (and `planned`) tag value of a `read.chunk` span.
     fn name(self) -> &'static str {
         match self {
@@ -1155,4 +1162,34 @@ struct ScanPlan {
     /// True on the first scan: stream sequentially, layout unknown.
     streaming: bool,
     skipped: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::ChunkSource::{self, Cache, Db, Hybrid, Raw};
+
+    /// Every consistent input (all needed cells loaded implies some are),
+    /// with the source the §3.2.1 cascade picks.
+    #[test]
+    fn chunk_source_cascade_table() {
+        let table = [
+            // (cached, loaded, partly_loaded, hybrid) → source
+            ((true, true, true, false), Cache),
+            ((true, true, true, true), Cache),
+            ((true, false, true, false), Cache),
+            ((true, false, true, true), Cache),
+            ((true, false, false, false), Cache),
+            ((true, false, false, true), Cache),
+            ((false, true, true, false), Db),
+            ((false, true, true, true), Db),
+            ((false, false, true, true), Hybrid),
+            ((false, false, true, false), Raw),
+            ((false, false, false, true), Raw),
+            ((false, false, false, false), Raw),
+        ];
+        for ((cached, loaded, partly, hybrid), want) in table {
+            let got = ChunkSource::classify(cached, loaded, partly, hybrid);
+            assert_eq!(got, want, "{:?}", (cached, loaded, partly, hybrid));
+        }
+    }
 }

@@ -1,19 +1,14 @@
 //! The per-scan work queue: the text-chunks buffer, the position buffer and
-//! the consumer-execution lane of one scan behind one lock (paper §3.1,
-//! Figure 2).
+//! the consumer-execution lane of one scan (paper §3.1, Figure 2).
 //!
-//! Workers run `while let Some(work) = queue.pop()`; `pop` serves the
-//! downstream-most lane first (EXEC, then PARSE, then TOKENIZE — the
-//! draining order that guarantees progress, §3.2.1) and blocks on a condvar
-//! when every lane is empty. READ blocks in [`WorkQueue::push_text`] while
-//! the text lane is at capacity, which *is* the paper's "READ is blocked, the
-//! disk is idle" signal. A worker whose tokenized chunk does not fit the
-//! position lane gets it handed back and parses it itself, so no worker ever
-//! waits for lane room.
-//!
-//! Shutdown is [`WorkQueue::close`]: the conversion lanes are discarded,
-//! every blocked thread wakes, pushes are refused, and `pop` hands out the
-//! EXEC tasks already accepted before returning `None`.
+//! [`Lanes`] is all of its logic, thread-free, so the pipeline simulator
+//! drives it too: `pop` serves EXEC, then PARSE, then TOKENIZE (the draining
+//! order that guarantees progress, §3.2.1); a full position lane hands a
+//! tokenized chunk back to the worker, which parses it itself; a full text
+//! lane answers READ with `Full` — the paper's "READ is blocked, the disk is
+//! idle" signal. [`WorkQueue`] is the lock, the two condvars and the wake-ups
+//! around it. Closing it discards the conversion lanes, wakes and refuses
+//! everyone, and still hands out the EXEC tasks already accepted.
 //!
 //! The lock is a leaf of the lock hierarchy (DESIGN.md §9): nothing else is
 //! locked, journaled, sent or dropped while it is held. Payload types are
@@ -24,30 +19,114 @@ use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// One unit of work, tagged with the lane it came from.
-pub(crate) enum Work<X, P, T> {
+#[derive(Debug)]
+pub enum Work<X, P, T> {
     Exec(X),
     Parse(P),
     Tokenize(T),
 }
 
-/// Why a non-blocking text push handed the job back.
-pub(crate) enum TextPushError<T> {
-    /// The text lane is at capacity; [`WorkQueue::push_text`] would block.
+/// Why a text push handed the job back.
+#[derive(Debug)]
+pub enum TextPushError<T> {
+    /// The text lane is at capacity: READ is blocked.
     Full(T),
     Closed(T),
 }
 
-struct Lanes<X, P, T> {
+/// The three lanes of one scan and their bounds: EXEC tasks (unbounded),
+/// tokenized chunks and raw chunks.
+pub struct Lanes<X, P, T> {
     exec: VecDeque<X>,
     parse: VecDeque<P>,
     text: VecDeque<T>,
+    text_cap: usize,
+    parse_cap: usize,
     closed: bool,
+}
+
+impl<X, P, T> Lanes<X, P, T> {
+    /// Lanes whose text and position lanes hold at most `text_cap` and
+    /// `parse_cap` jobs; the EXEC lane is unbounded.
+    pub fn new(text_cap: usize, parse_cap: usize) -> Self {
+        Lanes {
+            exec: VecDeque::new(),
+            parse: VecDeque::new(),
+            text: VecDeque::new(),
+            text_cap,
+            parse_cap,
+            closed: false,
+        }
+    }
+
+    /// Queues a raw chunk for TOKENIZE.
+    ///
+    /// # Errors
+    ///
+    /// Hands the job back when the text lane is full or the lanes closed.
+    pub fn push_text(&mut self, job: T) -> Result<(), TextPushError<T>> {
+        if self.closed {
+            Err(TextPushError::Closed(job))
+        } else if self.text.len() >= self.text_cap {
+            Err(TextPushError::Full(job))
+        } else {
+            self.text.push_back(job);
+            Ok(())
+        }
+    }
+
+    /// Queues a tokenized chunk for PARSE.
+    ///
+    /// # Errors
+    ///
+    /// Hands the job back when the position lane is full or the lanes
+    /// closed; the worker that tokenized it parses it itself.
+    pub fn push_parse(&mut self, job: P) -> Result<(), P> {
+        if self.closed || self.parse.len() >= self.parse_cap {
+            return Err(job);
+        }
+        self.parse.push_back(job);
+        Ok(())
+    }
+
+    /// Queues a consumer-execution task.
+    ///
+    /// # Errors
+    ///
+    /// Hands the task back when the lanes closed: no worker would run it.
+    pub fn push_exec(&mut self, task: X) -> Result<(), X> {
+        if self.closed {
+            return Err(task);
+        }
+        self.exec.push_back(task);
+        Ok(())
+    }
+
+    /// The next unit of work, EXEC before PARSE before TOKENIZE; `None` when
+    /// every lane is empty.
+    pub fn pop(&mut self) -> Option<Work<X, P, T>> {
+        if let Some(task) = self.exec.pop_front() {
+            Some(Work::Exec(task))
+        } else if let Some(job) = self.parse.pop_front() {
+            Some(Work::Parse(job))
+        } else {
+            self.text.pop_front().map(Work::Tokenize)
+        }
+    }
+
+    /// Refuses every later push and discards the queued conversion jobs,
+    /// which it returns; accepted EXEC tasks are still handed out.
+    pub fn close(&mut self) -> (VecDeque<P>, VecDeque<T>) {
+        self.closed = true;
+        (
+            std::mem::take(&mut self.parse),
+            std::mem::take(&mut self.text),
+        )
+    }
 }
 
 pub(crate) struct WorkQueue<X, P, T> {
     lanes: Mutex<Lanes<X, P, T>>,
-    text_cap: usize,
-    parse_cap: usize,
     /// Workers wait here for any lane to fill, or for close.
     work: Condvar,
     /// READ waits here for room in the text lane, or for close.
@@ -59,14 +138,7 @@ impl<X, P, T> WorkQueue<X, P, T> {
     /// `parse_cap` jobs; the EXEC lane is unbounded.
     pub(crate) fn new(text_cap: usize, parse_cap: usize) -> Self {
         WorkQueue {
-            lanes: Mutex::new(Lanes {
-                exec: VecDeque::new(),
-                parse: VecDeque::new(),
-                text: VecDeque::new(),
-                closed: false,
-            }),
-            text_cap,
-            parse_cap,
+            lanes: Mutex::new(Lanes::new(text_cap, parse_cap)),
             work: Condvar::new(),
             room: Condvar::new(),
         }
@@ -79,23 +151,22 @@ impl<X, P, T> WorkQueue<X, P, T> {
         self.lanes.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
+    /// Wakes one worker after a push got in (the guard is already gone).
+    fn woken<E>(&self, pushed: Result<(), E>) -> Result<(), E> {
+        if pushed.is_ok() {
+            self.work.notify_one();
+        }
+        pushed
+    }
+
     /// Queues a raw chunk for TOKENIZE without blocking.
     ///
     /// # Errors
     ///
     /// Hands the job back when the text lane is full or the queue closed.
     pub(crate) fn try_push_text(&self, job: T) -> Result<(), TextPushError<T>> {
-        let mut g = self.lock();
-        if g.closed {
-            Err(TextPushError::Closed(job))
-        } else if g.text.len() >= self.text_cap {
-            Err(TextPushError::Full(job))
-        } else {
-            g.text.push_back(job);
-            drop(g);
-            self.work.notify_one();
-            Ok(())
-        }
+        let pushed = self.lock().push_text(job);
+        self.woken(pushed)
     }
 
     /// Queues a raw chunk for TOKENIZE, blocking while the text lane is
@@ -104,18 +175,19 @@ impl<X, P, T> WorkQueue<X, P, T> {
     /// # Errors
     ///
     /// Hands the job back when the queue closed, before or during the wait.
-    pub(crate) fn push_text(&self, job: T) -> Result<(), T> {
+    pub(crate) fn push_text(&self, mut job: T) -> Result<(), T> {
         let mut g = self.lock();
-        while !g.closed && g.text.len() >= self.text_cap {
+        loop {
+            match g.push_text(job) {
+                Ok(()) => break,
+                Err(TextPushError::Closed(back)) => return Err(back),
+                Err(TextPushError::Full(back)) => job = back,
+            }
             g = match self.room.wait(g) {
                 Ok(g) => g,
                 Err(poisoned) => poisoned.into_inner(),
             };
         }
-        if g.closed {
-            return Err(job);
-        }
-        g.text.push_back(job);
         drop(g);
         self.work.notify_one();
         Ok(())
@@ -128,14 +200,8 @@ impl<X, P, T> WorkQueue<X, P, T> {
     /// Hands the job back when the position lane is full or the queue
     /// closed; the caller parses it itself.
     pub(crate) fn push_parse(&self, job: P) -> Result<(), P> {
-        let mut g = self.lock();
-        if g.closed || g.parse.len() >= self.parse_cap {
-            return Err(job);
-        }
-        g.parse.push_back(job);
-        drop(g);
-        self.work.notify_one();
-        Ok(())
+        let pushed = self.lock().push_parse(job);
+        self.woken(pushed)
     }
 
     /// Queues a consumer-execution task.
@@ -144,14 +210,8 @@ impl<X, P, T> WorkQueue<X, P, T> {
     ///
     /// Hands the task back when the queue closed: no worker would run it.
     pub(crate) fn push_exec(&self, task: X) -> Result<(), X> {
-        let mut g = self.lock();
-        if g.closed {
-            return Err(task);
-        }
-        g.exec.push_back(task);
-        drop(g);
-        self.work.notify_one();
-        Ok(())
+        let pushed = self.lock().push_exec(task);
+        self.woken(pushed)
     }
 
     /// The next unit of work, EXEC before PARSE before TOKENIZE; blocks while
@@ -160,16 +220,12 @@ impl<X, P, T> WorkQueue<X, P, T> {
     pub(crate) fn pop(&self) -> Option<Work<X, P, T>> {
         let mut g = self.lock();
         loop {
-            if let Some(task) = g.exec.pop_front() {
-                return Some(Work::Exec(task));
-            }
-            if let Some(job) = g.parse.pop_front() {
-                return Some(Work::Parse(job));
-            }
-            if let Some(job) = g.text.pop_front() {
-                drop(g);
-                self.room.notify_one();
-                return Some(Work::Tokenize(job));
+            if let Some(work) = g.pop() {
+                if matches!(work, Work::Tokenize(_)) {
+                    drop(g);
+                    self.room.notify_one();
+                }
+                return Some(work);
             }
             if g.closed {
                 return None;
@@ -193,15 +249,11 @@ impl<X, P, T> WorkQueue<X, P, T> {
     /// Shuts the queue down: discards queued conversion jobs, refuses
     /// further pushes and wakes every blocked thread. Idempotent.
     pub(crate) fn close(&self) {
-        let (parse, text) = {
-            let mut g = self.lock();
-            g.closed = true;
-            (std::mem::take(&mut g.parse), std::mem::take(&mut g.text))
-        };
+        let discarded = self.lock().close();
         self.work.notify_all();
         self.room.notify_all();
         // The discarded jobs own channel senders: they are dropped here,
         // after the guard, so no channel operation runs under the lock.
-        drop((parse, text));
+        drop(discarded);
     }
 }

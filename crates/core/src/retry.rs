@@ -30,6 +30,15 @@ pub(crate) struct RetryPolicy {
     pub backoff: Duration,
 }
 
+impl RetryPolicy {
+    /// What READ and WRITE retry under: four extra attempts, 200 µs base
+    /// backoff (DESIGN.md §10).
+    pub(crate) const DEVICE: RetryPolicy = RetryPolicy {
+        budget: 4,
+        backoff: Duration::from_micros(200),
+    };
+}
+
 /// Runs `op`, retrying retryable errors (`Error::is_retryable`) up to
 /// `policy.budget` extra attempts, sleeping linearly growing backoff on the
 /// device clock between attempts. Every retry lands in the journal as an

@@ -51,16 +51,17 @@ impl CostModel {
         }
     }
 
-    /// Rescales the device bandwidth so that one conversion worker saturates
-    /// `1/n` of the disk — i.e. the CPU↔I/O crossover lands at `n` workers,
+    /// Rescales the device bandwidth so that one worker, converting and
+    /// executing, saturates `1/n` of the disk — i.e. the CPU↔I/O crossover lands at `n` workers,
     /// matching the paper's hardware ratio (§5.1 reports the crossover at 6
     /// workers for the 2^26×64 file). Used for the "paper-ratio" variants of
     /// the figure harnesses; the calibrated model keeps the nominal device.
     pub fn with_crossover_at(mut self, n: f64, text_bytes_per_value: f64) -> Self {
-        // One worker converts one value in (tokenize + parse) ns; it
-        // consumes text_bytes_per_value bytes in that time.
-        let ns_per_value =
-            self.tokenize_split_ns_per_byte * text_bytes_per_value + self.parse_ns_per_value;
+        // One worker converts and executes one value in (tokenize + parse +
+        // engine) ns; it consumes text_bytes_per_value bytes in that time.
+        let ns_per_value = self.tokenize_split_ns_per_byte * text_bytes_per_value
+            + self.parse_ns_per_value
+            + self.engine_ns_per_value;
         let worker_bytes_per_sec = text_bytes_per_value / (ns_per_value * 1e-9);
         self.read_bw = worker_bytes_per_sec * n;
         self.write_bw = self.read_bw;

@@ -12,6 +12,13 @@
 //!
 //! What it shares with the real operator, rather than re-implementing:
 //!
+//! * [`ChunkSource::classify`] — the §3.2.1 delivery plan (cache → db →
+//!   raw, file order within a source);
+//! * [`Lanes`] — the work queue: the dispatch order (EXEC, then PARSE, then
+//!   TOKENIZE), the text and position lane bounds, the hand-back of a
+//!   tokenized chunk the position lane refuses, and READ blocked as a
+//!   `Full` text push. Every delivered chunk is an EXEC task on the
+//!   simulated pool, as the engine submits it to the operator's;
 //! * [`LoadPolicy`] — what to store and when, for every [`WritePolicy`],
 //!   with the speculative rule and the safeguard flush; the simulator feeds
 //!   it the same events the operator's scheduler thread does;
@@ -19,10 +26,9 @@
 //!
 //! What it models (and what the figures depend on):
 //!
-//! * the ratio of per-chunk conversion cost to disk bandwidth — this sets
-//!   the CPU-bound ↔ I/O-bound crossover of Figure 4;
-//! * buffer capacities and the worker pool — this sets when READ is
-//!   blocked, so when speculative loading gets disk time;
+//! * the ratio of per-chunk conversion and execution cost to disk
+//!   bandwidth — this sets the CPU-bound ↔ I/O-bound crossover of Figure 4;
+//! * the worker pool size, capped by the machine's cores;
 //! * the device: READ has priority over WRITE, a direction switch costs a
 //!   seek, and the WRITE queue outlives a query — this sets the per-query
 //!   convergence of Figure 8;
@@ -31,6 +37,8 @@
 //! [`WritePolicy`]: scanraw_types::WritePolicy
 //! [`LoadPolicy`]: scanraw::LoadPolicy
 //! [`LoadBiasedLru`]: scanraw::LoadBiasedLru
+//! [`ChunkSource::classify`]: scanraw::ChunkSource::classify
+//! [`Lanes`]: scanraw::Lanes
 
 #![forbid(unsafe_code)]
 #![deny(rust_2018_idioms)]

@@ -5,15 +5,24 @@
 //! writes still pending from a previous query (the speculative tail), across
 //! a sequence of simulated queries. [`Simulator::run_query`] plays the
 //! per-scan pipeline — cache deliveries, database reads, the raw-file
-//! conversion pipeline with bounded buffers and a worker pool, and the
-//! device READ and WRITE share — in virtual time.
+//! conversion pipeline, EXEC on the worker pool, and the device READ and
+//! WRITE share — in virtual time.
 //!
-//! What to store and when is not simulated: the scan's [`LoadPolicy`], the
-//! operator's own, is told what the pipeline does and decides, and the
-//! cache keeps the operator's eviction order, [`LoadBiasedLru`].
+//! The scheduling itself is not simulated but run: the delivery plan comes
+//! from the operator's classifier, [`ChunkSource::classify`]; dispatch is the
+//! operator's work queue, [`Lanes`] — an idle simulated worker calls `pop`
+//! and the job's completion is scheduled in virtual time, a full position
+//! lane hands a tokenized chunk back to its worker, and READ is blocked while
+//! a text push is `Full`; the scan's [`LoadPolicy`] decides what to store
+//! and when; and the cache keeps the operator's eviction order,
+//! [`LoadBiasedLru`]. What stays the simulator's own is virtual time, the
+//! stage costs, the `cores` cap and the device.
 
 use crate::cost::CostModel;
-use scanraw::{LoadBiasedLru, LoadEvent, LoadHost, LoadPolicy, SchedulerReport, Trigger};
+use scanraw::{
+    ChunkSource, Lanes, LoadBiasedLru, LoadEvent, LoadHost, LoadPolicy, SchedulerReport,
+    TextPushError, Trigger, Work,
+};
 use scanraw_types::{ChunkId, WritePolicy};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -134,7 +143,7 @@ pub struct UtilSample {
 }
 
 /// Outcome of one simulated query.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct QuerySim {
     pub elapsed_secs: f64,
     pub from_cache: usize,
@@ -200,13 +209,6 @@ pub struct Simulator {
     write_q: VecDeque<usize>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Source {
-    Cache(usize),
-    Db(usize),
-    Raw(usize),
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DiskOp {
     ReadRaw(usize),
@@ -214,12 +216,13 @@ enum DiskOp {
     Write(usize),
 }
 
+/// What completes at a point of virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Ev {
     Disk,
     Tokenized(usize),
     Parsed(usize),
-    Consumed(usize),
+    Executed,
 }
 
 impl Simulator {
@@ -270,16 +273,16 @@ impl Simulator {
         assert!(q.convert_cols >= 1 && q.convert_cols <= self.file.cols);
         assert!(q.tokenize_cols >= 1 && q.tokenize_cols <= self.file.cols);
 
-        // Build the delivery plan: cache → db → raw (§3.2.1), file order
-        // within a source.
-        let source = |id| match (self.cache.get(&id), self.loaded[id]) {
-            (Some(()), _) => Source::Cache(id),
-            (None, true) => Source::Db(id),
-            (None, false) => Source::Raw(id),
-        };
-        let mut plan: Vec<Source> = (0..self.file.n_chunks).map(source).collect();
-        plan.sort_unstable();
-        let expected = plan.len();
+        // The §3.2.1 delivery plan from the operator's classifier, over
+        // chunk-granular cells: a chunk is one cell, so it is never partly
+        // loaded. Stable, so each source keeps file order.
+        let mut plan: Vec<(usize, ChunkSource)> = (0..self.file.n_chunks)
+            .map(|id| {
+                let (cached, loaded) = (self.cache.get(&id).is_some(), self.loaded[id]);
+                (id, ChunkSource::classify(cached, loaded, loaded, false))
+            })
+            .collect();
+        plan.sort_by_key(|&(_, source)| source);
 
         // Per-chunk costs in nanoseconds.
         let cost = &self.cfg.cost;
@@ -290,222 +293,127 @@ impl Simulator {
             + cost.tokenize_skip_ns_per_byte * text_bytes * (1.0 - split_frac);
         let values_converted = self.file.rows_per_chunk as f64 * q.convert_cols as f64;
         let parse_ns = cost.dispatch_ns + cost.parse_ns_per_value * values_converted;
-        let engine_ns = cost.engine_ns_per_value * values_converted;
+        let exec_ns = cost.engine_ns_per_value * values_converted;
         let raw_read_ns = cost.read_secs(text_bytes) * 1e9;
         let db_read_ns = cost.read_secs(self.file.binary_bytes_per_chunk()) * 1e9;
         let write_ns = cost.write_secs(self.file.binary_bytes_per_chunk()) * 1e9;
-        let seek_ns = cost.seek_ns;
 
-        let slots = if self.cfg.workers == 0 {
-            1
-        } else {
-            self.cfg.workers.min(self.cfg.cores).max(1)
-        };
-        let serialize_read = self.cfg.workers == 0;
-        let out_cap = self.cfg.cache_chunks.max(2);
-        let waits_for_writes = self.cfg.policy.loads_within_query();
+        // The operator's work queue without the lock; every delivered chunk
+        // becomes an EXEC task in it. Without a pool (`workers == 0`) READ's
+        // thread converts each chunk itself, outside the lanes, and the one
+        // idle "worker" is the engine's thread, which only finds EXEC tasks.
+        let mut lanes = Lanes::new(self.cfg.text_buffer, self.cfg.position_buffer);
+        let pool = self.cfg.workers > 0;
+        let mut idle = self.cfg.workers.min(self.cfg.cores).max(1);
+        let mut converting = false;
+        // A raw chunk READ read while the text lane was full: READ is
+        // blocked, and the device idle, until a TOKENIZE makes room.
+        let mut held: Option<usize> = None;
         let mut policy = LoadPolicy::new(self.cfg.policy);
-
-        // --- event machinery ---
-        let mut now: u64 = 0;
-        let mut seq: u64 = 0;
-        let mut events: BinaryHeap<Reverse<(u64, u64, Ev)>> = BinaryHeap::new();
-
-        // --- pipeline state ---
-        let mut deliver_idx = 0usize;
-        let mut text_q: VecDeque<usize> = VecDeque::new();
-        let mut pos_q: VecDeque<usize> = VecDeque::new();
-        let mut out_q: VecDeque<usize> = VecDeque::new();
-        let mut tokenizing = 0usize;
-        let mut parsing = 0usize;
-        let mut busy_workers = 0usize;
-        let mut engine_busy = false;
-        let mut engine_done = 0usize;
-        let mut disk: Option<DiskOp> = None;
-        let mut disk_dir: Option<bool> = None; // true = read
-        let mut disk_started: u64 = 0;
+        let mut clock = Clock {
+            record: self.cfg.record_timeline,
+            ..Clock::default()
+        };
+        let mut res = QuerySim::default();
+        let (mut next, mut consumed) = (0, 0);
+        let mut raw_scan_complete = false;
+        // The device's operation in flight with its start, and the direction
+        // of its last one (true = read).
+        let mut disk: Option<(DiskOp, u64)> = None;
+        let mut disk_dir: Option<bool> = None;
         // Writes carried from the previous query go first (§4).
         let mut startup_drain = self.write_q.len();
-        // What the policy was last told of READ.
-        let mut read_blocked = false;
-        let mut raw_scan_complete = false;
-        let mut query_done = false;
-        let mut from_cache = 0usize;
-        let mut from_db = 0usize;
-        let mut from_raw = 0usize;
-        let mut chunks_written = 0usize;
-        let mut disk_read_spans: Vec<Span> = Vec::new();
-        let mut disk_write_spans: Vec<Span> = Vec::new();
-        let mut cpu_spans: Vec<Span> = Vec::new();
-        let record = self.cfg.record_timeline;
-        let mut end_time: u64 = 0;
+        let waits_for_writes = self.cfg.policy.loads_within_query();
 
-        macro_rules! push_ev {
-            ($t:expr, $e:expr) => {{
-                seq += 1;
-                events.push(Reverse(($t, seq, $e)));
-            }};
-        }
-
-        // The dispatch closure is expressed as a macro to borrow state
-        // mutably without fighting the borrow checker.
-        macro_rules! dispatch {
-            () => {{
-                let mut progressed = true;
-                while progressed {
-                    progressed = false;
-
-                    // 0. Cache deliveries (no device involved).
-                    while deliver_idx < plan.len() {
-                        if let Source::Cache(id) = plan[deliver_idx] {
-                            if out_q.len() + parsing < out_cap {
-                                self.cache.touch(&id);
-                                out_q.push_back(id);
-                                from_cache += 1;
-                                deliver_idx += 1;
-                                progressed = true;
-                                continue;
-                            }
-                        }
-                        break;
-                    }
-
-                    // 1. PARSE first (downstream priority).
-                    while busy_workers < slots
-                        && !pos_q.is_empty()
-                        && out_q.len() + parsing < out_cap
-                    {
-                        let id = pos_q.pop_front().expect("checked");
-                        busy_workers += 1;
-                        parsing += 1;
-                        if record {
-                            cpu_spans.push(Span {
-                                start: now as f64 * 1e-9,
-                                end: (now as f64 + parse_ns) * 1e-9,
-                            });
-                        }
-                        push_ev!(now + parse_ns as u64, Ev::Parsed(id));
-                        progressed = true;
-                    }
-
-                    // 2. TOKENIZE.
-                    while busy_workers < slots
-                        && !text_q.is_empty()
-                        && pos_q.len() + tokenizing < self.cfg.position_buffer
-                    {
-                        let id = text_q.pop_front().expect("checked");
-                        busy_workers += 1;
-                        tokenizing += 1;
-                        if record {
-                            cpu_spans.push(Span {
-                                start: now as f64 * 1e-9,
-                                end: (now as f64 + tokenize_ns) * 1e-9,
-                            });
-                        }
-                        push_ev!(now + tokenize_ns as u64, Ev::Tokenized(id));
-                        progressed = true;
-                    }
-
-                    // 3. Engine.
-                    if !engine_busy {
-                        if let Some(id) = out_q.pop_front() {
-                            engine_busy = true;
-                            push_ev!(now + engine_ns as u64, Ev::Consumed(id));
-                            progressed = true;
-                        }
-                    }
-
-                    // READ as the operator's READ thread reports it: blocked
-                    // while the next raw chunk finds the text lane full
-                    // (never in the sequential regime, where READ converts
-                    // each chunk itself), complete once the last planned
-                    // chunk is delivered.
-                    let blocked = !serialize_read
-                        && matches!(plan.get(deliver_idx), Some(Source::Raw(_)))
-                        && text_q.len() >= self.cfg.text_buffer;
-                    if blocked != read_blocked {
-                        read_blocked = blocked;
-                        let level = if blocked {
-                            LoadEvent::ReadBlocked
-                        } else {
-                            LoadEvent::ReadResumed
-                        };
-                        policy.on(level, self);
-                    }
-                    let reading = matches!(disk, Some(DiskOp::ReadRaw(_) | DiskOp::ReadDb(_)));
-                    if !raw_scan_complete && deliver_idx == plan.len() && !reading {
-                        raw_scan_complete = true;
-                        policy.on(LoadEvent::RawScanComplete, self);
-                    }
-
-                    // 4. Device: READ has priority (after the startup drain
-                    // of the previous query's writes); WRITE gets the device
-                    // whenever READ does not take it.
-                    if disk.is_none() {
-                        let write_preempts = !self.cfg.arbitration && !self.write_q.is_empty();
-                        let serial_ok = !serialize_read
-                            || (text_q.is_empty() && pos_q.is_empty() && busy_workers == 0);
-                        let read = match plan.get(deliver_idx) {
-                            _ if write_preempts || startup_drain > 0 => None,
-                            Some(&Source::Db(id)) if out_q.len() + parsing < out_cap => {
-                                Some((DiskOp::ReadDb(id), db_read_ns))
-                            }
-                            Some(&Source::Raw(id))
-                                if text_q.len() < self.cfg.text_buffer && serial_ok =>
-                            {
-                                Some((DiskOp::ReadRaw(id), raw_read_ns))
-                            }
-                            _ => None,
-                        };
-                        if read.is_some() {
-                            deliver_idx += 1;
-                        }
-                        let write = || {
-                            let front = self.write_q.front();
-                            front.map(|&id| (DiskOp::Write(id), write_ns))
-                        };
-                        if let Some((op, mut dur)) = read.or_else(write) {
-                            let is_read = !matches!(op, DiskOp::Write(_));
-                            if disk_dir == Some(!is_read) {
-                                dur += seek_ns;
-                            }
-                            disk = Some(op);
-                            disk_dir = Some(is_read);
-                            disk_started = now;
-                            push_ev!(now + dur as u64, Ev::Disk);
-                            progressed = true;
+        loop {
+            // READ serves cached chunks, the head of the plan, without the
+            // device.
+            while let Some(&(id, ChunkSource::Cache)) = plan.get(next) {
+                self.cache.touch(&id);
+                res.from_cache += 1;
+                next += 1;
+                lanes.push_exec(id).expect("lanes never close");
+            }
+            // Idle workers take what the lanes hand out.
+            while idle > 0 {
+                let Some(work) = lanes.pop() else { break };
+                idle -= 1;
+                match work {
+                    Work::Exec(_) => clock.cpu(exec_ns, Ev::Executed),
+                    Work::Parse(id) => clock.cpu(parse_ns, Ev::Parsed(id)),
+                    Work::Tokenize(id) => {
+                        clock.cpu(tokenize_ns, Ev::Tokenized(id));
+                        if let Some(id) = held.take() {
+                            lanes.push_text(id).expect("the pop made room");
+                            policy.on(LoadEvent::ReadResumed, self);
                         }
                     }
                 }
-            }};
-        }
+            }
+            // READ returns once every planned chunk is in.
+            let reading = matches!(disk, Some((DiskOp::ReadRaw(_) | DiskOp::ReadDb(_), _)));
+            let read_free = held.is_none() && !converting;
+            if !raw_scan_complete && read_free && !reading && next == plan.len() {
+                raw_scan_complete = true;
+                policy.on(LoadEvent::RawScanComplete, self);
+            }
+            // The device: READ first (after the startup drain), WRITE
+            // whenever READ does not take it.
+            if disk.is_none() {
+                let write_preempts = !self.cfg.arbitration && !self.write_q.is_empty();
+                let read_free = read_free && startup_drain == 0 && !write_preempts;
+                let read = match plan.get(next) {
+                    Some(&(id, ChunkSource::Db)) if read_free => Some(DiskOp::ReadDb(id)),
+                    Some(&(id, ChunkSource::Raw)) if read_free => Some(DiskOp::ReadRaw(id)),
+                    _ => None,
+                };
+                next += usize::from(read.is_some());
+                if let Some(op) = read.or(self.write_q.front().copied().map(DiskOp::Write)) {
+                    let (mut dur, is_read) = match op {
+                        DiskOp::ReadRaw(_) => (raw_read_ns, true),
+                        DiskOp::ReadDb(_) => (db_read_ns, true),
+                        DiskOp::Write(_) => (write_ns, false),
+                    };
+                    if disk_dir == Some(!is_read) {
+                        dur += self.cfg.cost.seek_ns;
+                    }
+                    disk = Some((op, clock.now));
+                    disk_dir = Some(is_read);
+                    clock.after(dur, Ev::Disk);
+                }
+            }
 
-        dispatch!();
-
-        // Main event loop.
-        while let Some(Reverse((t, _, ev))) = events.pop() {
-            now = t;
+            let Some(ev) = clock.next() else { break };
             match ev {
                 Ev::Disk => {
-                    let op = disk.take().expect("disk op in flight");
-                    if record {
+                    let (op, started) = disk.take().expect("disk op in flight");
+                    if self.cfg.record_timeline {
                         let span = Span {
-                            start: disk_started as f64 * 1e-9,
-                            end: now as f64 * 1e-9,
+                            start: started as f64 * 1e-9,
+                            end: clock.now as f64 * 1e-9,
                         };
                         match op {
-                            DiskOp::Write(_) => disk_write_spans.push(span),
-                            _ => disk_read_spans.push(span),
+                            DiskOp::Write(_) => res.disk_write_spans.push(span),
+                            _ => res.disk_read_spans.push(span),
                         }
                     }
                     match op {
                         DiskOp::ReadRaw(id) => {
-                            text_q.push_back(id);
-                            from_raw += 1;
+                            res.from_raw += 1;
+                            if !pool {
+                                // READ's thread converts the chunk itself.
+                                converting = true;
+                                clock.cpu(tokenize_ns + parse_ns, Ev::Parsed(id));
+                            } else if let Err(TextPushError::Full(id)) = lanes.push_text(id) {
+                                // A full text lane blocks READ: the
+                                // speculative-loading window (§4).
+                                held = Some(id);
+                                policy.on(LoadEvent::ReadBlocked, self);
+                            }
                         }
                         DiskOp::ReadDb(id) => {
-                            out_q.push_back(id);
-                            from_db += 1;
+                            res.from_db += 1;
+                            lanes.push_exec(id).expect("lanes never close");
                             // Database chunks enter the cache loaded; their
                             // victims are evictions like any other.
                             if let Some(victim) = self.cache_admit(id) {
@@ -515,61 +423,51 @@ impl Simulator {
                         DiskOp::Write(id) => {
                             self.write_q.pop_front();
                             self.loaded[id] = true;
-                            chunks_written += 1;
+                            res.chunks_written += 1;
                             startup_drain = startup_drain.saturating_sub(1);
                             policy.on(LoadEvent::WriteDone(ChunkId(id as u32)), self);
                         }
                     }
                 }
-                Ev::Tokenized(id) => {
-                    busy_workers -= 1;
-                    tokenizing -= 1;
-                    pos_q.push_back(id);
-                }
+                Ev::Tokenized(id) => match lanes.push_parse(id) {
+                    Ok(()) => idle += 1,
+                    // A full position lane hands the chunk back: the worker
+                    // that tokenized it parses it.
+                    Err(id) => clock.cpu(parse_ns, Ev::Parsed(id)),
+                },
                 Ev::Parsed(id) => {
-                    busy_workers -= 1;
-                    parsing -= 1;
-                    out_q.push_back(id);
+                    if pool {
+                        idle += 1;
+                    } else {
+                        converting = false;
+                    }
+                    lanes.push_exec(id).expect("lanes never close");
                     let victim = self.cache_admit(id);
                     policy.on(LoadEvent::Converted(id), self);
                     if let Some(victim) = victim {
                         policy.on(LoadEvent::Evicted(victim), self);
                     }
                 }
-                Ev::Consumed(_) => {
-                    engine_busy = false;
-                    engine_done += 1;
+                Ev::Executed => {
+                    idle += 1;
+                    consumed += 1;
+                    if consumed == plan.len() {
+                        // The engine consumed the whole scan.
+                        policy.on(LoadEvent::QueryDone, self);
+                    }
                 }
             }
-
-            dispatch!();
-
-            // The engine consumed the whole scan: the operator's QueryDone.
-            if engine_done == expected && !query_done {
-                query_done = true;
-                policy.on(LoadEvent::QueryDone, self);
-            }
-            if query_done && (!waits_for_writes || self.write_q.is_empty()) {
-                end_time = now;
+            if consumed == plan.len() && (!waits_for_writes || self.write_q.is_empty()) {
                 break;
             }
         }
-        if end_time == 0 {
-            end_time = now;
-        }
-        debug_assert_eq!(engine_done, expected, "every planned chunk delivered");
-
+        debug_assert_eq!(consumed, plan.len(), "every planned chunk consumed");
         QuerySim {
-            elapsed_secs: end_time as f64 * 1e-9,
-            from_cache,
-            from_db,
-            from_raw,
-            chunks_written,
+            elapsed_secs: clock.now as f64 * 1e-9,
             loaded_after: self.loaded_count(),
             stores: policy.report(),
-            disk_read_spans,
-            disk_write_spans,
-            cpu_spans,
+            cpu_spans: clock.cpu_spans,
+            ..res
         }
     }
 
@@ -577,6 +475,46 @@ impl Simulator {
     pub fn run_sequence(&mut self, n: usize) -> Vec<QuerySim> {
         let q = QuerySpec::full(&self.file);
         (0..n).map(|_| self.run_query(&q)).collect()
+    }
+}
+
+/// Virtual time in nanoseconds: completions in time order, ties in the
+/// order they were scheduled, and the worker busy spans when recorded.
+#[derive(Default)]
+struct Clock {
+    now: u64,
+    seq: u64,
+    events: BinaryHeap<Reverse<(u64, u64, Ev)>>,
+    record: bool,
+    cpu_spans: Vec<Span>,
+}
+
+impl Clock {
+    /// `ev` completes `ns` from now.
+    fn after(&mut self, ns: f64, ev: Ev) {
+        self.seq += 1;
+        self.events
+            .push(Reverse((self.now + ns as u64, self.seq, ev)));
+    }
+
+    /// A worker (or READ's thread) busy for `ns`, until `ev`.
+    fn cpu(&mut self, ns: f64, ev: Ev) {
+        if self.record {
+            let start = self.now as f64;
+            let end = start + ns;
+            self.cpu_spans.push(Span {
+                start: start * 1e-9,
+                end: end * 1e-9,
+            });
+        }
+        self.after(ns, ev);
+    }
+
+    /// Advances to the next completion.
+    fn next(&mut self) -> Option<Ev> {
+        let Reverse((at, _, ev)) = self.events.pop()?;
+        self.now = at;
+        Some(ev)
     }
 }
 
@@ -840,5 +778,54 @@ mod tests {
             "{} vs floor {serial_floor}",
             r.elapsed_secs
         );
+    }
+
+    /// EXEC runs on the pool: with one worker, each chunk costs it TOKENIZE,
+    /// PARSE and EXEC back to back (a stand-alone consumer would overlap
+    /// EXEC with the next chunk's conversion).
+    #[test]
+    fn exec_costs_worker_time() {
+        let f = file();
+        let mut cost = CostModel::nominal();
+        cost.engine_ns_per_value = cost.parse_ns_per_value;
+        let c = SimConfig::new(1, WritePolicy::ExternalTables, cost.clone());
+        let r = Simulator::new(c, f).run_query(&QuerySpec::full(&f));
+        let values = f.rows_per_chunk as f64 * f.cols as f64;
+        let per_chunk_ns = cost.dispatch_ns
+            + cost.tokenize_split_ns_per_byte * f.text_bytes_per_chunk()
+            + cost.dispatch_ns
+            + cost.parse_ns_per_value * values
+            + cost.engine_ns_per_value * values;
+        let floor = 0.98 * f.n_chunks as f64 * per_chunk_ns * 1e-9;
+        assert!(
+            r.elapsed_secs >= floor,
+            "{} vs floor {floor}",
+            r.elapsed_secs
+        );
+    }
+
+    /// A position lane without room hands tokenized chunks back to their
+    /// workers: every chunk is still tokenized, parsed and executed exactly
+    /// once, and no worker waits for lane room. (With one slot a worker that
+    /// queues a chunk for PARSE takes it itself at once, so only the empty
+    /// lane forces a hand-back on every chunk.)
+    #[test]
+    fn full_position_lane_hands_the_chunk_back() {
+        let f = file();
+        let mut c = cfg(2, WritePolicy::ExternalTables);
+        c.record_timeline = true;
+        let wide = Simulator::new(c.clone(), f).run_query(&QuerySpec::full(&f));
+        for slots in [1, 0] {
+            c.position_buffer = slots;
+            let r = Simulator::new(c.clone(), f).run_query(&QuerySpec::full(&f));
+            assert_eq!(r.from_raw, f.n_chunks);
+            assert_eq!(r.cpu_spans.len(), 3 * f.n_chunks, "one span per stage");
+            assert!(
+                r.elapsed_secs <= wide.elapsed_secs * 1.01,
+                "{slots} slots: {} vs {} with room",
+                r.elapsed_secs,
+                wide.elapsed_secs
+            );
+        }
     }
 }

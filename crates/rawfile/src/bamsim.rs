@@ -158,7 +158,8 @@ fn unpack_seq(data: &[u8], pos: &mut usize) -> Result<String> {
 pub mod lzss {
     const MIN_MATCH: usize = 4;
     const MAX_MATCH: usize = 255 + MIN_MATCH;
-    const WINDOW: usize = 1 << 16;
+    /// The farthest match a `u16` distance can name.
+    const WINDOW: usize = u16::MAX as usize;
     const HASH_BITS: usize = 15;
 
     fn hash3(data: &[u8], i: usize) -> usize {
@@ -470,6 +471,29 @@ mod tests {
         let data: Vec<u8> = (0..10_000).map(|_| rng.gen()).collect();
         let comp = lzss::compress(&data);
         assert_eq!(lzss::decompress(&comp, data.len()).unwrap(), data);
+    }
+
+    /// Blocks past the 64 KiB window with a seeded marker repeated exactly
+    /// 65,535, 65,536 and 65,537 bytes after its first copy, in zeros, so the
+    /// match finder meets the marker at that distance and nowhere nearer.
+    #[test]
+    fn lzss_roundtrip_repeats_at_the_window_edge() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        for distance in [65_535usize, 65_536, 65_537] {
+            let marker: Vec<u8> = (0..32).map(|_| rng.gen_range(1..=255u8)).collect();
+            let mut data = vec![0u8; 200_000];
+            for at in [1_000, 1_000 + distance] {
+                data[at..at + marker.len()].copy_from_slice(&marker);
+            }
+            let comp = lzss::compress(&data);
+            let back = lzss::decompress(&comp, data.len());
+            let error = back.as_ref().err();
+            assert!(
+                back.as_ref() == Ok(&data),
+                "repeat {distance} back: {error:?}"
+            );
+        }
     }
 
     #[test]

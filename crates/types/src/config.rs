@@ -1,7 +1,6 @@
 //! Operator configuration: write policies, buffer sizes, worker counts.
 
 use crate::error::{Error, Result};
-use std::time::Duration;
 
 /// Scheduling policy for the WRITE thread (paper §3: "The scheduling policy
 /// for WRITE dictates the ScanRaw behavior").
@@ -91,12 +90,6 @@ pub struct ScanRawConfig {
     /// raw file, merging the two (paper §3.2.1's trade-off; the paper's
     /// experiments convert everything from raw because they are I/O-bound).
     pub hybrid_reads: bool,
-    /// Maximum retries for a transient/corrupt device failure before the
-    /// operation is treated as permanently failed (DESIGN.md §10).
-    pub io_retry_budget: u32,
-    /// Base backoff slept (on the virtual clock) between retries; attempt
-    /// `n` waits `n * io_retry_backoff`.
-    pub io_retry_backoff: Duration,
 }
 
 impl Default for ScanRawConfig {
@@ -110,8 +103,6 @@ impl Default for ScanRawConfig {
             write_policy: WritePolicy::speculative(),
             advanced_statistics: false,
             hybrid_reads: false,
-            io_retry_budget: 4,
-            io_retry_backoff: Duration::from_micros(200),
         }
     }
 }
@@ -178,18 +169,6 @@ impl ScanRawConfig {
     /// Builder-style switch for hybrid database+raw column reads.
     pub fn with_hybrid_reads(mut self, on: bool) -> Self {
         self.hybrid_reads = on;
-        self
-    }
-
-    /// Builder-style setter for the transient-I/O retry budget.
-    pub fn with_io_retry_budget(mut self, retries: u32) -> Self {
-        self.io_retry_budget = retries;
-        self
-    }
-
-    /// Builder-style setter for the base retry backoff.
-    pub fn with_io_retry_backoff(mut self, backoff: Duration) -> Self {
-        self.io_retry_backoff = backoff;
         self
     }
 }

@@ -27,11 +27,15 @@ const QUERIES: usize = 3;
 type Outcome = (SchedulerReport, [usize; 3]);
 
 fn operator_queries(policy: WritePolicy) -> Vec<Outcome> {
+    operator_queries_on(policy, WORKERS)
+}
+
+fn operator_queries_on(policy: WritePolicy, workers: usize) -> Vec<Outcome> {
     let disk = SimDisk::instant();
     stage_csv(&disk, "data.csv", &CsvSpec::new(ROWS, COLS, 42));
     let config = ScanRawConfig::default()
         .with_chunk_rows(CHUNK_ROWS)
-        .with_workers(WORKERS)
+        .with_workers(workers)
         .with_cache_chunks(CACHE_CHUNKS)
         .with_policy(policy);
     let schema = Schema::uniform_ints(COLS);
@@ -57,8 +61,12 @@ fn operator_queries(policy: WritePolicy) -> Vec<Outcome> {
 }
 
 fn simulated_queries(policy: WritePolicy) -> Vec<Outcome> {
+    simulated_queries_on(policy, WORKERS)
+}
+
+fn simulated_queries_on(policy: WritePolicy, workers: usize) -> Vec<Outcome> {
     let file = FileSpec::synthetic(ROWS, COLS, CHUNK_ROWS as u64);
-    let mut cfg = SimConfig::new(WORKERS, policy, CostModel::nominal());
+    let mut cfg = SimConfig::new(workers, policy, CostModel::nominal());
     cfg.cache_chunks = CACHE_CHUNKS;
     let mut sim = Simulator::new(cfg, file);
     (0..QUERIES)
@@ -118,5 +126,26 @@ fn speculative_counts_are_reported() {
     // Every query serves every chunk exactly once on both sides.
     for (_, [cache, db, raw]) in operator.iter().chain(&simulated) {
         assert_eq!(cache + db + raw, (ROWS / CHUNK_ROWS as u64) as usize);
+    }
+}
+
+/// Without a pool READ converts each chunk itself and never waits on the
+/// text lane, so no store decision depends on thread timing: all five
+/// policies agree exactly, speculation included (it stores only through
+/// the safeguard here).
+#[test]
+fn sequential_regime_agrees() {
+    for policy in [
+        WritePolicy::ExternalTables,
+        WritePolicy::Eager,
+        WritePolicy::Invisible {
+            chunks_per_query: 3,
+        },
+        WritePolicy::Buffered,
+        WritePolicy::speculative(),
+    ] {
+        let operator = operator_queries_on(policy, 0);
+        let simulated = simulated_queries_on(policy, 0);
+        assert_eq!(operator, simulated, "{policy:?}, 0 workers");
     }
 }

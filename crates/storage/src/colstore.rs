@@ -703,6 +703,70 @@ mod tests {
         assert!(parse_commit_record("").is_none());
     }
 
+    /// The on-disk bytes of one stored chunk, captured before the CRC became
+    /// table-driven: payload encoding and commit records (CRCs included)
+    /// must never change without a format version.
+    #[test]
+    fn stored_bytes_are_pinned() {
+        let store = ColumnStore::new(SimDisk::instant());
+        let nan = f64::from_bits(0x7ff8_0000_dead_beef);
+        let floats = [-0.0, nan, 1.5, f64::NEG_INFINITY];
+        let c = BinaryChunk {
+            id: ChunkId(7),
+            first_row: 57_344,
+            rows: 4,
+            columns: vec![
+                Some(ColumnData::Int64(vec![i64::MIN, -1, 0, i64::MAX])),
+                Some(ColumnData::Utf8(vec![
+                    "".into(),
+                    "héllo".into(),
+                    "日本".into(),
+                    "a b".into(),
+                ])),
+                Some(ColumnData::Float64(floats.to_vec())),
+            ],
+        };
+        assert_eq!(store.store_chunk("t", &c).unwrap(), vec![0, 1, 2]);
+        let file = |name: &str| {
+            let len = store.disk().len(name).unwrap();
+            store.disk().read(name, 0, len as usize).unwrap()
+        };
+        #[rustfmt::skip]
+        let expected: [&[u8]; 3] = [
+            &[
+                0, 0, 0, 0, 0, 0, 0, 128, 255, 255, 255, 255, 255, 255, 255, 255,
+                0, 0, 0, 0, 0, 0, 0, 0, 255, 255, 255, 255, 255, 255, 255, 127,
+            ],
+            &[
+                0, 0, 0, 0, 6, 0, 0, 0, 104, 195, 169, 108, 108, 111, 6, 0,
+                0, 0, 230, 151, 165, 230, 156, 172, 3, 0, 0, 0, 97, 32, 98,
+            ],
+            &[
+                0, 0, 0, 0, 0, 0, 0, 128, 239, 190, 173, 222, 0, 0, 248, 127,
+                0, 0, 0, 0, 0, 0, 248, 63, 0, 0, 0, 0, 0, 0, 240, 255,
+            ],
+        ];
+        for (col, bytes) in expected.iter().enumerate() {
+            assert_eq!(file(&format!("db/t/col{col}.bin")), *bytes, "column {col}");
+        }
+        assert_eq!(
+            String::from_utf8(file("db/t/commit.log")).unwrap(),
+            "\nv1 0 7 0 32 4 2984949478\n\nv1 1 7 0 31 4 2211592753\n\nv1 2 7 0 32 4 1442723685\n"
+        );
+        let back = store
+            .load_chunk("t", &schema(), ChunkId(7), 57_344, &[0, 1, 2])
+            .unwrap();
+        assert_eq!(back.column(0), c.column(0));
+        assert_eq!(back.column(1), c.column(1));
+        match back.column(2) {
+            Some(ColumnData::Float64(v)) => {
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(v), bits(&floats));
+            }
+            other => panic!("wrong column: {other:?}"),
+        }
+    }
+
     #[test]
     fn float_roundtrip() {
         let store = ColumnStore::new(SimDisk::instant());

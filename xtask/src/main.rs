@@ -7,7 +7,11 @@
 //! - `bench` — run the repository's one benchmark (`perfbench/`, described
 //!   by `BENCHMARK.json`): every workload once at seed 1, end-to-end
 //!   metrics (`--trace 0`), each run ending in its JSON result line. Pass
-//!   `--smoke` for the small CI-sized configuration.
+//!   `--smoke` for the small CI-sized configuration. `--against <rev>
+//!   [--pairs N]` compares the working tree with `<rev>` instead, in N
+//!   alternating pairs per workload (default 10), and exits with 2 when an
+//!   end-to-end metric is worse than its bound in a majority of pairs (see
+//!   `against.rs`).
 //! - `trace` — run a seeded traced workload and export its validated span
 //!   tree as Chrome trace-event JSON (`scanraw.trace.json`, loadable in
 //!   Perfetto / `about://tracing`) plus a folded-stack flamegraph file
@@ -30,6 +34,8 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use scanraw_lint::output;
+
+mod against;
 
 fn workspace_root() -> PathBuf {
     // xtask/ sits directly under the workspace root.
@@ -216,15 +222,44 @@ const WORKLOADS: [&str; 5] = [
 ];
 
 fn task_bench(args: &[String]) -> ExitCode {
+    const USAGE: &str = "usage: cargo xtask bench [--smoke] [--against <rev> [--pairs N]]";
+    let mut smoke = false;
+    let mut against: Option<&str> = None;
+    let mut pairs: Option<usize> = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match (arg.as_str(), it.as_slice().first()) {
+            ("--smoke", _) => smoke = true,
+            ("--against", Some(rev)) => {
+                against = Some(rev);
+                it.next();
+            }
+            ("--pairs", Some(n)) if n.parse::<usize>().is_ok_and(|n| n > 0) => {
+                pairs = n.parse().ok();
+                it.next();
+            }
+            _ => {
+                eprintln!("{USAGE}");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
     // `--smoke`: a sixteenth of the table and one second per workload.
-    let size: &[&str] = match args {
-        [] => &["--seconds", "10"],
-        [flag] if flag == "--smoke" => &["--seconds", "1", "--rows", "24576"],
-        _ => {
-            eprintln!("usage: cargo xtask bench [--smoke]");
+    let size: &[&str] = if smoke {
+        &["--seconds", "1", "--rows", "24576"]
+    } else {
+        &["--seconds", "10"]
+    };
+    match (against, pairs) {
+        (Some(rev), pairs) => {
+            return against::run(&workspace_root(), rev, pairs.unwrap_or(10), size)
+        }
+        (None, Some(_)) => {
+            eprintln!("xtask bench: --pairs needs --against\n{USAGE}");
             return ExitCode::FAILURE;
         }
-    };
+        (None, None) => {}
+    }
     for workload in WORKLOADS {
         let mut cargo_args = vec![
             "run",
@@ -270,7 +305,7 @@ fn main() -> ExitCode {
         Some("trace") => task_trace(&args[1..]),
         None => {
             eprintln!(
-                "usage: cargo xtask <task>\n\ntasks:\n  lint    run the static analysis rule table\n          options: --format text|json|github|callgraph|effects, --output <path>,\n                   --timing, --budget-ms <n>, --explain <RULE>\n  bench   run the benchmark (perfbench/, see BENCHMARK.json): every\n          workload once, end-to-end metrics and a JSON result line each\n          options: --smoke (small CI configuration)\n  trace   run a seeded traced workload and export its span tree\n          (writes scanraw.trace.json for Perfetto and scanraw.folded)\n          options: --smoke (small CI configuration)"
+                "usage: cargo xtask <task>\n\ntasks:\n  lint    run the static analysis rule table\n          options: --format text|json|github|callgraph|effects, --output <path>,\n                   --timing, --budget-ms <n>, --explain <RULE>\n  bench   run the benchmark (perfbench/, see BENCHMARK.json): every\n          workload once, end-to-end metrics and a JSON result line each\n          options: --smoke (small CI configuration),\n                   --against <rev> [--pairs N] (alternating pairs against <rev>)\n  trace   run a seeded traced workload and export its span tree\n          (writes scanraw.trace.json for Perfetto and scanraw.folded)\n          options: --smoke (small CI configuration)"
             );
             ExitCode::FAILURE
         }

@@ -2,7 +2,7 @@
 
 use crate::aggregate::{Accumulator, AggExpr};
 use crate::expr::Col;
-use crate::parallel::{AggSpec, AggState};
+use crate::parallel::{ExecPlan, Partial};
 use crate::predicate::Predicate;
 use crate::query::{Query, QueryResult, ResultRow};
 use parking_lot::Mutex;
@@ -25,9 +25,10 @@ pub enum ExecMode {
     /// Row-at-a-time fold on the calling thread (the reference
     /// implementation; also the oracle for the differential tests).
     Serial,
-    /// Chunk-parallel columnar execution: delivered chunks are partitioned
-    /// back onto the operator's TOKENIZE/PARSE worker pool, each producing a
-    /// partial [`AggState`] that the engine merges in ascending chunk order.
+    /// Chunk-parallel columnar execution: each query is compiled once into
+    /// an [`ExecPlan`]; delivered chunks are partitioned back onto the
+    /// operator's TOKENIZE/PARSE worker pool, each producing a [`Partial`]
+    /// per plan that the engine merges in ascending chunk order.
     #[default]
     Parallel,
 }
@@ -474,9 +475,10 @@ impl Engine {
     /// that may push its selection down and whose `query` root span carries
     /// the scan itself.
     ///
-    /// Under [`ExecMode::Parallel`] (the default) delivered chunks are
-    /// evaluated on the operator's worker pool with a columnar inner loop
-    /// and the partial aggregates merged in ascending chunk order, so
+    /// Under [`ExecMode::Parallel`] (the default) each query is compiled
+    /// once into an [`ExecPlan`], delivered chunks are evaluated on the
+    /// operator's worker pool by its typed kernels and the partial
+    /// aggregates merged in ascending chunk order, so
     /// results are identical to — and bit-for-bit as deterministic as — the
     /// serial fold.
     ///
@@ -576,10 +578,13 @@ impl Engine {
                     .collect()
             }
             ExecMode::Parallel => {
-                let specs: Vec<Arc<AggSpec>> = queries.iter().map(spec_of).collect();
-                self.run_parallel(&op, &mut stream, &specs, range.as_ref())?
+                let plans: Arc<[ExecPlan]> = queries
+                    .iter()
+                    .map(|q| ExecPlan::compile(q, op.schema()))
+                    .collect();
+                self.run_parallel(&op, &mut stream, plans, range.as_ref())?
                     .into_iter()
-                    .map(|state| (state.rows_seen, state.finish()))
+                    .map(|part| (part.rows_seen(), part.finish()))
                     .collect()
             }
         };
@@ -737,9 +742,10 @@ impl Engine {
     }
 
     /// Fans the delivered chunks of `stream` out to the operator's worker
-    /// pool — one [`ExecTask`] per chunk, each producing one partial
-    /// [`AggState`] per spec — then collects and merges the partials in
-    /// ascending chunk order (deterministic float accumulation). Falls back
+    /// pool — one [`ExecTask`] per chunk, each sharing the request's plans
+    /// and producing one [`Partial`] per plan — then collects and merges
+    /// the partials in ascending chunk order (deterministic float
+    /// accumulation). Falls back
     /// to inline execution when the scan runs without a pool (`workers = 0`)
     /// or a worker rejects the task during teardown.
     ///
@@ -751,9 +757,9 @@ impl Engine {
         &self,
         op: &Arc<ScanRaw>,
         stream: &mut ChunkStream,
-        specs: &[Arc<AggSpec>],
+        plans: Arc<[ExecPlan]>,
         range: Option<&RangePredicate>,
-    ) -> Result<Vec<AggState>> {
+    ) -> Result<Vec<Partial>> {
         let handle = stream.exec_handle();
         // When the query is traced the root span is the engine thread's
         // current context; exec tasks run on pool workers, so the context is
@@ -767,7 +773,7 @@ impl Engine {
             None => None,
         };
 
-        let (res_tx, res_rx) = mpsc::channel::<(u32, Result<Vec<AggState>>)>();
+        let (res_tx, res_rx) = mpsc::channel::<(u32, Result<Vec<Partial>>)>();
         while let Some(chunk) = stream.next_chunk() {
             if let (Some(pred), Some(entry)) = (range, entry.as_ref()) {
                 if entry.read().prunes(chunk.id, pred) {
@@ -778,7 +784,7 @@ impl Engine {
                     continue;
                 }
             }
-            let specs = specs.to_vec();
+            let plans = Arc::clone(&plans);
             let tx = res_tx.clone();
             let id = chunk.id.0;
             let task_recorder = recorder.clone();
@@ -790,11 +796,11 @@ impl Engine {
                         vec![("chunk", id.to_string()), ("worker", worker_label())],
                     )
                 });
-                let out = specs
+                let out = plans
                     .iter()
-                    .map(|s| {
-                        let mut st = AggState::new(s.clone());
-                        st.consume_chunk(&chunk).map(|()| st)
+                    .map(|plan| {
+                        let mut part = plan.partial();
+                        plan.consume(&mut part, &chunk).map(|()| part)
                     })
                     .collect::<Result<Vec<_>>>();
                 // Receiver gone only when the engine already bailed out.
@@ -813,7 +819,7 @@ impl Engine {
         drop(res_tx);
         drop(handle);
 
-        let mut partials: Vec<(u32, Result<Vec<AggState>>)> = Vec::new();
+        let mut partials: Vec<(u32, Result<Vec<Partial>>)> = Vec::new();
         while let Ok(r) = res_rx.recv() {
             partials.push(r);
         }
@@ -823,7 +829,7 @@ impl Engine {
             recorder.enter(ctx, "merge", vec![("partials", partials.len().to_string())])
         });
         partials.sort_by_key(|(id, _)| *id);
-        let mut merged: Vec<AggState> = specs.iter().map(|s| AggState::new(s.clone())).collect();
+        let mut merged: Vec<Partial> = plans.iter().map(ExecPlan::partial).collect();
         for (_, result) in partials {
             for (m, s) in merged.iter_mut().zip(result?) {
                 m.merge(s)?;
@@ -831,15 +837,6 @@ impl Engine {
         }
         Ok(merged)
     }
-}
-
-/// Snapshot of a query's aggregation shape, shareable with worker tasks.
-fn spec_of(q: &Query) -> Arc<AggSpec> {
-    Arc::new(AggSpec {
-        group_by: q.group_by.iter().map(|c| c.index()).collect(),
-        aggregates: q.aggregates.clone(),
-        filter: q.filter.clone(),
-    })
 }
 
 /// The push-down selection of a single-query scan: predicate columns are

@@ -18,8 +18,9 @@
 //!   filters, and folds aggregates — serially or chunk-parallel on the
 //!   operator's worker pool ([`executor::ExecMode`]). A single query is a
 //!   batch of one;
-//! * `parallel` — the columnar kernels and mergeable partial-aggregate
-//!   state behind parallel execution (crate-internal);
+//! * [`ExecPlan`] — a query compiled once into typed kernels over column
+//!   slices, run per chunk into a mergeable [`Partial`] (parallel
+//!   execution's unit of work);
 //! * [`session`] — the [`Session`] facade: the high-level entry point
 //!   wrapping engine construction, registration, execution
 //!   ([`Session::run`]), and recovery;
@@ -47,6 +48,7 @@ pub use executor::{
     AnalyzeReport, Engine, ExecMode, ExecOutcome, ExecRequest, ExplainReport, QueryOutcome,
 };
 pub use expr::{Col, Expr};
+pub use parallel::{ExecPlan, Partial};
 pub use predicate::Predicate;
 pub use query::{Query, QueryBuilder, QueryResult};
 pub use serve::{ServeConfig, ServeCounters, Server, TenantId, Ticket};

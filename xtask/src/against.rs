@@ -9,17 +9,34 @@
 //! line is the result. Per end-to-end metric of `BENCHMARK.json` the report
 //! gives the median and quartiles per side, the pairs the change wins, and
 //! the pairs where the change is worse than the base by more than the
-//! metric's bound. When that happens in a majority of a metric's pairs, or
-//! the change fails more operations than the base, the task exits with
-//! code 2; any error running it exits with 1.
+//! metric's bound, the ratio of the medians with a seeded paired-bootstrap
+//! 95% interval, and the benchmark's noise floor for the metric when
+//! `--aa` has measured one. When a majority of a metric's pairs is worse
+//! than its bound, or the change fails more operations than the base, the
+//! task exits with code 2; any error running it exits with 1. Every run's
+//! result line is kept in `results/against.json`.
+//!
+//! `cargo xtask bench --aa [--pairs N]` measures that noise floor: HEAD's
+//! perfbench against a byte-identical copy of its binary at another path,
+//! in the same alternating pairs. Per workload and end-to-end metric it
+//! writes the A/A ratio of the medians and the larger side's IQR over its
+//! median to `results/noise_floor.json`, with the pair count, `nproc` and
+//! the date.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode, Stdio};
 
-use scanraw_obs::json::{self, Value};
+use scanraw_obs::json;
+use scanraw_obs::json::Value;
 
 /// Exit code of a finished comparison that found the change worse.
 const WORSE: u8 = 2;
+
+/// Where `--aa` writes the noise floor and `--against` reads it.
+const NOISE_FLOOR: &str = "results/noise_floor.json";
+
+/// Where `--against` keeps every run's result line.
+const RUNS: &str = "results/against.json";
 
 /// One end-to-end metric as `BENCHMARK.json` declares it.
 struct Metric {
@@ -44,6 +61,33 @@ fn summary(values: &[f64]) -> String {
     format!("{:.4} [{:.4}, {:.4}]", q(0.5), q(0.25), q(0.75))
 }
 
+/// Interquartile range over the median.
+fn spread(values: &[f64]) -> f64 {
+    (quantile(values, 0.75) - quantile(values, 0.25)) / quantile(values, 0.5)
+}
+
+/// 95% interval of `median(change) / median(base)` from 2,000 resamples of
+/// the pairs (a pair's two runs stay together), seeded so a report repeats.
+fn bootstrap(base: &[f64], change: &[f64]) -> (f64, f64) {
+    let mut state = 0x5EED_u64;
+    // SplitMix64.
+    let mut next = move || {
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let z = (state ^ (state >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+    let n = base.len();
+    let ratios: Vec<f64> = (0..2000)
+        .map(|_| {
+            let idx: Vec<usize> = (0..n).map(|_| (next() % n as u64) as usize).collect();
+            let side = |v: &[f64]| idx.iter().map(|&i| v[i]).collect::<Vec<_>>();
+            quantile(&side(change), 0.5) / quantile(&side(base), 0.5)
+        })
+        .collect();
+    (quantile(&ratios, 0.025), quantile(&ratios, 0.975))
+}
+
 pub fn run(root: &Path, rev: &str, pairs: usize, size: &[&str]) -> ExitCode {
     match compare(root, rev, pairs, size) {
         Ok(true) => ExitCode::SUCCESS,
@@ -53,6 +97,95 @@ pub fn run(root: &Path, rev: &str, pairs: usize, size: &[&str]) -> ExitCode {
             ExitCode::FAILURE
         }
     }
+}
+
+/// `--aa`: measures the noise floor and writes [`NOISE_FLOOR`].
+pub fn run_aa(root: &Path, pairs: usize, size: &[&str]) -> ExitCode {
+    match noise_floor(root, pairs, size) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("xtask bench: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn noise_floor(root: &Path, pairs: usize, size: &[&str]) -> Result<(), String> {
+    let metrics = end_to_end_metrics(root)?;
+    let sha = git(root, &["rev-parse", "--verify", "HEAD^{commit}"])?;
+    let bin = build(&export(root, &sha)?)?;
+    let copy = root
+        .join("target")
+        .join("bench-aa")
+        .join("scanraw-perfbench");
+    let copy_dir = copy.parent().ok_or("no directory for the copy")?;
+    std::fs::create_dir_all(copy_dir).map_err(|e| format!("{}: {e}", copy_dir.display()))?;
+    std::fs::copy(&bin, &copy).map_err(|e| format!("{}: {e}", copy.display()))?;
+    println!(
+        "A/A: HEAD ({}) against a copy of its perfbench, {pairs} pair(s)",
+        &sha[..10]
+    );
+    let mut workloads = Vec::new();
+    for workload in crate::WORKLOADS {
+        let results = run_pairs(&[bin.clone(), copy.clone()], workload, pairs, size)?;
+        println!("\n== {workload} ==");
+        let mut floors = Vec::new();
+        for m in &metrics {
+            let Some([a, b]) = sides(&results, &m.name) else {
+                continue;
+            };
+            let (ratio, iqr) = (
+                quantile(&b, 0.5) / quantile(&a, 0.5),
+                spread(&a).max(spread(&b)),
+            );
+            println!("{:<12} A/A ratio {ratio:.4}, IQR/median {iqr:.4}", m.name);
+            floors.push((
+                m.name.clone(),
+                json!({ "median_ratio": ratio, "iqr_over_median": iqr }),
+            ));
+        }
+        workloads.push((
+            workload.to_string(),
+            Value::Object(floors.into_iter().collect()),
+        ));
+    }
+    let date = Command::new("date").args(["-u", "+%Y-%m-%d"]).output();
+    let doc = json!({
+        "pairs": pairs as u64,
+        "nproc": std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
+        "date": date.map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string()).unwrap_or_default(),
+        "workloads": Value::Object(workloads.into_iter().collect()),
+    });
+    let path = root.join(NOISE_FLOOR);
+    std::fs::create_dir_all(root.join("results")).map_err(|e| format!("results: {e}"))?;
+    std::fs::write(&path, doc.to_json_pretty()).map_err(|e| format!("{}: {e}", path.display()))?;
+    println!("\nwrote {}", path.display());
+    Ok(())
+}
+
+/// `pairs` alternating pairs of runs of `workload`; `[side][pair]`.
+fn run_pairs(
+    bins: &[PathBuf; 2],
+    workload: &str,
+    pairs: usize,
+    size: &[&str],
+) -> Result<[Vec<Value>; 2], String> {
+    let mut results: [Vec<Value>; 2] = [Vec::new(), Vec::new()];
+    for pair in 0..pairs {
+        let first = pair % 2;
+        for side in [first, 1 - first] {
+            results[side].push(run_once(&bins[side], workload, size)?);
+        }
+    }
+    Ok(results)
+}
+
+/// The values of metric `name` on each side; `None` when a workload does not
+/// report it.
+fn sides(results: &[Vec<Value>; 2], name: &str) -> Option<[Vec<f64>; 2]> {
+    let value = |r: &Value| r.get("metrics")?.get(name)?.get("value")?.as_f64();
+    let side = |runs: &Vec<Value>| runs.iter().map(value).collect::<Option<Vec<f64>>>();
+    Some([side(&results[0])?, side(&results[1])?])
 }
 
 /// Runs the comparison; true when the change is not worse.
@@ -66,18 +199,35 @@ fn compare(root: &Path, rev: &str, pairs: usize, size: &[&str]) -> Result<bool, 
     let bins = [build(&base_tree)?, build(root)?];
     let short = &sha[..sha.len().min(10)];
     println!("base {rev} ({short}) vs the working tree, {pairs} alternating pair(s)");
+    let floor = std::fs::read_to_string(root.join(NOISE_FLOOR))
+        .ok()
+        .and_then(|text| json::parse(&text).ok());
+    if let Some(f) = &floor {
+        let (n, date) = (f.get("pairs").and_then(Value::as_u64), f.get("date"));
+        println!("noise floor: {NOISE_FLOOR} ({n:?} A/A pairs, {date:?})");
+    }
     let mut not_worse = true;
+    let mut runs = Vec::new();
     for workload in crate::WORKLOADS {
         // results[side][pair]: side 0 is the base, 1 the change.
-        let mut results: [Vec<Value>; 2] = [Vec::new(), Vec::new()];
-        for pair in 0..pairs {
-            let first = pair % 2;
-            for side in [first, 1 - first] {
-                results[side].push(run_once(&bins[side], workload, size)?);
-            }
-        }
-        not_worse &= report(workload, &metrics, &results);
+        let results = run_pairs(&bins, workload, pairs, size)?;
+        let floor = floor
+            .as_ref()
+            .and_then(|f| f.get("workloads")?.get(workload));
+        not_worse &= report(workload, &metrics, &results, floor);
+        let [base, change] = results;
+        runs.push((
+            workload.to_string(),
+            json!({ "base": Value::Array(base), "change": Value::Array(change) }),
+        ));
     }
+    // Every run's result line, so any metric can be read back per pair;
+    // pair `i` ran the base first when `i` is even.
+    let doc =
+        json!({ "base": sha.clone(), "workloads": Value::Object(runs.into_iter().collect()) });
+    let path = root.join(RUNS);
+    std::fs::create_dir_all(root.join("results")).map_err(|e| format!("results: {e}"))?;
+    std::fs::write(&path, doc.to_json_pretty()).map_err(|e| format!("{}: {e}", path.display()))?;
     println!(
         "\nverdict: {}",
         if not_worse {
@@ -89,24 +239,31 @@ fn compare(root: &Path, rev: &str, pairs: usize, size: &[&str]) -> Result<bool, 
     Ok(not_worse)
 }
 
-/// Prints one workload's table; false when the change is worse.
-fn report(workload: &str, metrics: &[Metric], results: &[Vec<Value>; 2]) -> bool {
+/// Prints one workload's table, with the A/A noise floor of its metrics
+/// when one was measured; false when the change is worse.
+fn report(
+    workload: &str,
+    metrics: &[Metric],
+    results: &[Vec<Value>; 2],
+    floor: Option<&Value>,
+) -> bool {
     let pairs = results[0].len();
     println!("\n== {workload} ==");
     println!(
-        "{:<12} {:<34} {:<34} {:>6} {:>11}",
-        "metric", "base median [q25, q75]", "change median [q25, q75]", "wins", "worse>bound"
+        "{:<12} {:<34} {:<34} {:>6} {:>11}  {:<26} A/A ratio, IQR/median",
+        "metric",
+        "base median [q25, q75]",
+        "change median [q25, q75]",
+        "wins",
+        "worse>bound",
+        "ratio [95% bootstrap]",
     );
     let mut not_worse = true;
     for m in metrics {
-        let value = |r: &Value| r.get("metrics")?.get(&m.name)?.get("value")?.as_f64();
-        let sides: Option<Vec<Vec<f64>>> = results
-            .iter()
-            .map(|runs| runs.iter().map(value).collect())
-            .collect();
-        let Some([base, change]) = sides.as_deref() else {
+        let Some([base, change]) = sides(results, &m.name) else {
             continue; // the workload does not report this metric
         };
+        let (base, change) = (&base[..], &change[..]);
         let pairs_of = || base.iter().zip(change);
         let better = |b: f64, c: f64| if m.lower_is_better { c < b } else { c > b };
         let worse_beyond = |b: f64, c: f64| {
@@ -120,13 +277,22 @@ fn report(workload: &str, metrics: &[Metric], results: &[Vec<Value>; 2]) -> bool
         let worse = pairs_of().filter(|&(&b, &c)| worse_beyond(b, c)).count();
         let flagged = 2 * worse > pairs;
         not_worse &= !flagged;
+        let (lo, hi) = bootstrap(base, change);
+        let ratio = quantile(change, 0.5) / quantile(base, 0.5);
+        let aa = floor
+            .and_then(|f| f.get(&m.name))
+            .map_or("-".to_string(), |f| {
+                let get = |k| f.get(k).and_then(Value::as_f64).unwrap_or(f64::NAN);
+                format!("{:.4}, {:.4}", get("median_ratio"), get("iqr_over_median"))
+            });
         println!(
-            "{:<12} {:<34} {:<34} {:>6} {:>11}{}",
+            "{:<12} {:<34} {:<34} {:>6} {:>11}  {:<26} {aa}{}",
             m.name,
             summary(base),
             summary(change),
             format!("{wins}/{pairs}"),
             format!("{worse}/{pairs}"),
+            format!("{ratio:.4} [{lo:.4}, {hi:.4}]"),
             if flagged { "  WORSE" } else { "" }
         );
     }

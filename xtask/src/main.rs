@@ -10,7 +10,9 @@
 //!   `--smoke` for the small CI-sized configuration. `--against <rev>
 //!   [--pairs N]` compares the working tree with `<rev>` instead, in N
 //!   alternating pairs per workload (default 10), and exits with 2 when an
-//!   end-to-end metric is worse than its bound in a majority of pairs (see
+//!   end-to-end metric is worse than its bound in a majority of pairs;
+//!   `--aa [--pairs N]` runs HEAD against a copy of itself and writes the
+//!   benchmark's noise floor to `results/noise_floor.json` (see
 //!   `against.rs`).
 //! - `trace` — run a seeded traced workload and export its validated span
 //!   tree as Chrome trace-event JSON (`scanraw.trace.json`, loadable in
@@ -222,14 +224,16 @@ const WORKLOADS: [&str; 5] = [
 ];
 
 fn task_bench(args: &[String]) -> ExitCode {
-    const USAGE: &str = "usage: cargo xtask bench [--smoke] [--against <rev> [--pairs N]]";
+    const USAGE: &str = "usage: cargo xtask bench [--smoke] [--against <rev> | --aa] [--pairs N]";
     let mut smoke = false;
+    let mut aa = false;
     let mut against: Option<&str> = None;
     let mut pairs: Option<usize> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match (arg.as_str(), it.as_slice().first()) {
             ("--smoke", _) => smoke = true,
+            ("--aa", _) => aa = true,
             ("--against", Some(rev)) => {
                 against = Some(rev);
                 it.next();
@@ -250,15 +254,22 @@ fn task_bench(args: &[String]) -> ExitCode {
     } else {
         &["--seconds", "10"]
     };
-    match (against, pairs) {
-        (Some(rev), pairs) => {
-            return against::run(&workspace_root(), rev, pairs.unwrap_or(10), size)
-        }
-        (None, Some(_)) => {
-            eprintln!("xtask bench: --pairs needs --against\n{USAGE}");
+    match (against, aa, pairs) {
+        (Some(_), true, _) => {
+            eprintln!("xtask bench: --against and --aa exclude each other\n{USAGE}");
             return ExitCode::FAILURE;
         }
-        (None, None) => {}
+        (Some(rev), false, pairs) => {
+            return against::run(&workspace_root(), rev, pairs.unwrap_or(10), size)
+        }
+        (None, true, pairs) => {
+            return against::run_aa(&workspace_root(), pairs.unwrap_or(10), size)
+        }
+        (None, false, Some(_)) => {
+            eprintln!("xtask bench: --pairs needs --against or --aa\n{USAGE}");
+            return ExitCode::FAILURE;
+        }
+        (None, false, None) => {}
     }
     for workload in WORKLOADS {
         let mut cargo_args = vec![
@@ -305,7 +316,7 @@ fn main() -> ExitCode {
         Some("trace") => task_trace(&args[1..]),
         None => {
             eprintln!(
-                "usage: cargo xtask <task>\n\ntasks:\n  lint    run the static analysis rule table\n          options: --format text|json|github|callgraph|effects, --output <path>,\n                   --timing, --budget-ms <n>, --explain <RULE>\n  bench   run the benchmark (perfbench/, see BENCHMARK.json): every\n          workload once, end-to-end metrics and a JSON result line each\n          options: --smoke (small CI configuration),\n                   --against <rev> [--pairs N] (alternating pairs against <rev>)\n  trace   run a seeded traced workload and export its span tree\n          (writes scanraw.trace.json for Perfetto and scanraw.folded)\n          options: --smoke (small CI configuration)"
+                "usage: cargo xtask <task>\n\ntasks:\n  lint    run the static analysis rule table\n          options: --format text|json|github|callgraph|effects, --output <path>,\n                   --timing, --budget-ms <n>, --explain <RULE>\n  bench   run the benchmark (perfbench/, see BENCHMARK.json): every\n          workload once, end-to-end metrics and a JSON result line each\n          options: --smoke (small CI configuration),\n                   --against <rev> [--pairs N] (alternating pairs against <rev>),\n                   --aa [--pairs N] (HEAD against a copy of itself: the noise floor)\n  trace   run a seeded traced workload and export its span tree\n          (writes scanraw.trace.json for Perfetto and scanraw.folded)\n          options: --smoke (small CI configuration)"
             );
             ExitCode::FAILURE
         }
